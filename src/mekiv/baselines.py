@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import krr
-from .estimator import DEFAULT_XI_GRID, StructuralFn, step3
+from .estimator import DEFAULT_XI_GRID, StructuralFn, require_finite, step3
 from .kernels import KernelSpec, Standardizer, median_heuristic
 
 BASELINE_KINDS = ("oracle", "m-as-x", "mn-average")
@@ -23,6 +23,7 @@ def _proxy(kind: str, split) -> np.ndarray:
         if val is None:
             raise ValueError(f"baseline '{kind}' needs column '{name}' in the data split")
         arr = np.asarray(val, dtype=float)
+        require_finite("first split", **{name: arr})
         return arr[:, None] if arr.ndim == 1 else arr
 
     if kind == "oracle":
@@ -47,6 +48,8 @@ def kiv_fit(kind: str, split1, split2, lambda_grid=None, xi_grid=None) -> Struct
     y2 = np.asarray(split2.y, dtype=float).ravel()
     if len(z2) == 0 or len(y2) == 0:
         raise ValueError("second split is empty")
+    require_finite("first split", z=z1, y=y1)
+    require_finite("second split", z=z2, y=y2)
 
     z_scaler = Standardizer.fit(z1)
     z1s = z_scaler.transform(z1)

@@ -141,7 +141,11 @@ class TrainingPairs:
     for pairs kept after capping/degenerate drops, else 0. The eigensystem of
     the instrument Gram matrix rides along so that the latent gamma weights
     can be re-derived for any ridge value with a diagonal rescale instead of
-    a fresh factorization.
+    a fresh factorization: Gamma = U diag(1 / (eigvals + s1 * lam)) B.
+
+    ``eig_u`` (U) and ``b_matrix`` (B) are real, so step 2 multiplies them
+    only with real matrices: the stacked [cos, sin, x*cos, x*sin] phase blocks
+    described in ``_Step2Eval``. Only the (A, J) labels are complex.
     """
 
     alphas: np.ndarray  # (A,)
@@ -149,8 +153,6 @@ class TrainingPairs:
     labels: np.ndarray  # (A, J) complex
     weight: np.ndarray  # (A, J) in {0, 1}
     dropped_pairs: int  # degenerate-denominator labels among the selected pairs
-    gamma_n: np.ndarray  # (s1, J)
-    gamma_mn: np.ndarray  # (s1, J)
     eigvals: np.ndarray  # (s1,) eigenvalues of K_ZZ
     eig_u: np.ndarray  # (s1, s1) orthonormal eigenvectors
     b_matrix: np.ndarray  # (s1, J) = U' K_{Z, z_grid}
@@ -226,8 +228,6 @@ def make_training_pairs(
         labels=labels,
         weight=weight,
         dropped_pairs=dropped,
-        gamma_n=gamma_n,
-        gamma_mn=gamma_mn,
         eigvals=eigvals,
         eig_u=eig_u,
         b_matrix=b_matrix,
@@ -235,7 +235,20 @@ def make_training_pairs(
 
 
 class _Step2Eval:
-    """Shared intermediates for one (x, log_lambda) objective evaluation."""
+    """Shared intermediates for one (x, log_lambda) objective evaluation.
+
+    With phases E = exp(i x alpha') = C + iS (s1, A) and latent weights
+    Gamma = U diag(1/denom) B (s1, J), the ratio w_X = n / d has
+    d = E' Gamma and n = (x E)' Gamma. U and B are real, so every O(A * s1^2)
+    product runs in real arithmetic on the stacked phase block
+    P' = [C'; S'; (x C)'; (x S)'] of shape (4A, s1):
+
+        F = P' U / denom   (4A, s1)
+        D = F B            (4A, J), row blocks Re d, Im d, Re n, Im n.
+
+    Only the (A, J) ratio, mask and loss are complex. The gradient reuses the
+    same block layout (see ``gradients``).
+    """
 
     def __init__(self, x: np.ndarray, log_lambda_x: float, pairs: TrainingPairs):
         self.pairs = pairs
@@ -246,19 +259,19 @@ class _Step2Eval:
         self.lam = float(np.exp(log_lambda_x))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self.denom_e = pairs.eigvals + s1 * self.lam  # (s1,)
-            self.w1 = pairs.b_matrix / self.denom_e[:, None]  # (s1, J); Gamma = U @ w1
-            self.emat = np.exp(1j * np.outer(self.x, pairs.alphas))  # (s1, A)
-            self.f1 = self.emat.T @ pairs.eig_u  # (A, s1) = E'U
-            self.f2 = (self.emat * self.x[:, None]).T @ pairs.eig_u
-            d_grid = self.f1 @ self.w1  # (A, J)
-            n_grid = self.f2 @ self.w1
+            phase = np.outer(pairs.alphas, self.x)  # (A, s1)
+            cos, sin = np.cos(phase), np.sin(phase)
+            self.p_block = np.concatenate([cos, sin, cos * self.x, sin * self.x])  # P'
+            self.f_block = self.p_block @ pairs.eig_u  # (4A, s1)
+            self.f_block /= self.denom_e
+            d_re, d_im, n_re, n_im = np.split(self.f_block @ pairs.b_matrix, 4)
+            d_grid = d_re + 1j * d_im  # (A, J)
             bad = ~(np.abs(d_grid) >= EPS_DENOM)  # catches tiny moduli and NaN
             self.mask = pairs.weight * ~bad
             self.n_used = float(self.mask.sum())
             self.dropped = int(round(pairs.weight.sum() - self.n_used))
-            d_safe = np.where(bad, 1.0, d_grid)
-            self.d_safe = d_safe
-            self.w_grid = n_grid / d_safe
+            self.d_safe = np.where(bad, 1.0, d_grid)
+            self.w_grid = (n_re + 1j * n_im) / self.d_safe
             self.resid = self.w_grid - pairs.labels
             if self.n_used == 0:
                 self.loss = np.inf
@@ -267,26 +280,43 @@ class _Step2Eval:
                 self.loss = float(np.sum(self.mask * sq) / self.n_used)
 
     def gradients(self) -> tuple[np.ndarray, float]:
-        """Analytic gradient of the mean squared modulus w.r.t. x and log-lambda."""
+        """Analytic gradient of the mean squared modulus w.r.t. x and log-lambda.
+
+        With g = mask * conj(resid) / d and h = g * w_X (A, J), the loss
+        derivatives need q = diag(1/denom) B [g, h]' and P = U q. Both run as
+        real products on the stacked G = [Re g; Im g; Re h; Im h] (4A, J),
+        kept transposed so that row blocks line up with ``p_block`` and
+        ``f_block``: q' = G B' / denom and P' = q' U'.
+        """
         pairs, x = self.pairs, self.x
         s1 = pairs.n_latents
         if not np.isfinite(self.loss):
             return np.full(s1, np.nan), np.nan
         scale = 2.0 / self.n_used
         g_mat = self.mask * np.conj(self.resid) / self.d_safe  # (A, J)
+        h_mat = g_mat * self.w_grid
+        g_block = np.concatenate([g_mat.real, g_mat.imag, h_mat.real, h_mat.imag])
+        q_block = g_block @ pairs.b_matrix.T  # (4A, s1)
+        q_block /= self.denom_e
         alphas = pairs.alphas
 
-        # d(loss)/dx_k = scale * Re sum_{a,j} E[k,a] *
-        #   (P1[k,a] (1 + i a x_k) - i a P2[k,a]),  P1 = Gamma G', P2 = Gamma (G w)'
-        p1 = pairs.eig_u @ (self.w1 @ g_mat.T)  # (s1, A)
-        p2 = pairs.eig_u @ (self.w1 @ (g_mat * self.w_grid).T)
-        term = p1 * (1.0 + 1j * np.outer(x, alphas)) - 1j * alphas[None, :] * p2
-        grad_x = scale * np.real(np.sum(self.emat * term, axis=1))
+        # d(loss)/dx_k = scale * Re sum_a E[k,a] (P1[k,a] (1 + i a x_k) - i a P2[k,a])
+        # with P1 = Gamma g', P2 = Gamma h'; expanded into real and imaginary parts.
+        p1r, p1i, p2r, p2i = np.split(q_block @ pairs.eig_u.T, 4)  # (A, s1) each
+        cos, sin = np.split(self.p_block[: 2 * alphas.size], 2)
+        grad_x = scale * (
+            np.sum(cos * p1r - sin * p1i, axis=0)
+            + alphas @ (cos * p2i + sin * p2r)
+            - x * (alphas @ (cos * p1i + sin * p1r))
+        )
 
-        # d(loss)/d(log lam) via dGamma/d(log lam) = -s1*lam * U (B / denom^2);
-        # U' dL/dGamma folds into the already-computed f1, f2 factors.
-        ut_dl = scale * np.real(self.f2.T @ g_mat - self.f1.T @ (g_mat * self.w_grid))
-        grad_ll = -s1 * self.lam * float(np.sum(ut_dl * (self.w1 / self.denom_e[:, None])))
+        # d(loss)/d(log lam) via dGamma/d(log lam) = -s1*lam * U diag(1/denom^2) B:
+        # -s1*lam*scale * Re sum_{k,a} (f2[a,k] q_g[k,a] - f1[a,k] q_h[k,a]) / denom_k,
+        # where f1 = E'U, f2 = (xE)'U and q_g, q_h are the g and h parts of q.
+        f1r, f1i, f2r, f2i = np.split(self.f_block, 4)
+        qgr, qgi, qhr, qhi = np.split(q_block, 4)
+        ridge = np.sum(f2r * qgr - f2i * qgi - f1r * qhr + f1i * qhi)
+        grad_ll = -s1 * self.lam * scale * float(ridge)
         return grad_x, grad_ll
 
 
@@ -508,6 +538,18 @@ def _columns(a) -> np.ndarray:
     return arr[:, None] if arr.ndim == 1 else arr
 
 
+def require_finite(split_name: str, **columns: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first column holding NaN or inf."""
+    for name, arr in columns.items():
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            row = int(np.unravel_index(bad[0], np.shape(arr))[0])
+            raise ValueError(
+                f"column '{name}' of the {split_name} has {bad.size} non-finite "
+                f"value(s), first in row {row}"
+            )
+
+
 def mekiv_fit(split1, split2, config: MekivConfig | None = None, details: bool = False):
     """Fit the full estimator from two disjoint data splits.
 
@@ -528,6 +570,8 @@ def mekiv_fit(split1, split2, config: MekivConfig | None = None, details: bool =
         raise ValueError("first split is empty")
     if len(z2) == 0 or len(y2) == 0:
         raise ValueError("second split is empty")
+    require_finite("first split", z=z1, m=m1, n=n1, y=y1)
+    require_finite("second split", z=z2, y=y2)
     cd = int(getattr(split1, "corrupted_dim", 0))
 
     stage1 = step1(z1, m1[:, cd], n1[:, cd], cfg.lambda_grid)

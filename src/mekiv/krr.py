@@ -155,7 +155,8 @@ def validate_lambda(
     """Pick the ridge parameter from ``grid`` on a single deterministic holdout.
 
     The leading (1 - split_fraction) share of the samples trains the solver,
-    the rest scores it. Ties break toward the larger lambda.
+    the rest scores it. Ties break toward the larger lambda. Raises
+    ``NumericalError`` when no grid value gets a finite score.
     """
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
@@ -181,4 +182,9 @@ def validate_lambda(
     for lam, score in zip(grid[order], scores):
         if score <= best_score:  # ascending grid, so <= prefers larger lambda
             best_lam, best_score = float(lam), score
+    if not np.isfinite(best_score):
+        raise NumericalError(
+            f"no finite holdout score on the {grid.size}-value lambda grid; "
+            "inputs or outputs likely hold NaN or inf"
+        )
     return best_lam

@@ -132,8 +132,6 @@ def _random_instance(seed):
         labels=rng.normal(size=(n_alpha, n_z)) + 1j * rng.normal(size=(n_alpha, n_z)),
         weight=np.ones((n_alpha, n_z)),
         dropped_pairs=0,
-        gamma_n=np.zeros((s1, n_z)),
-        gamma_mn=np.zeros((s1, n_z)),
         eigvals=eigvals,
         eig_u=eig_u,
         b_matrix=eig_u.T @ gram(z1, z_grid, kernel_z),

@@ -93,3 +93,19 @@ def test_all_kinds_fit_demand_design():
         preds = fn.predict(s2d.x)
         assert preds.shape == (120,)
         assert np.all(np.isfinite(preds))
+
+
+def test_non_finite_columns_rejected_at_entry():
+    spec = DesignSpec(design="linear", sample_size=200, seed=5)
+    s1d, s2d = generate_splits(spec, 100, 100)
+    s1d.m[3, 0] = np.inf
+    for kind in ("m-as-x", "mn-average"):
+        with pytest.raises(ValueError, match="column 'm' of the first split"):
+            kiv_fit(kind, s1d, s2d)
+    s1d.x[3, 0] = np.nan
+    with pytest.raises(ValueError, match="column 'x' of the first split"):
+        kiv_fit("oracle", s1d, s2d)
+    s2d.y[7] = -np.inf
+    s1d.x[3, 0] = 0.0
+    with pytest.raises(ValueError, match="column 'y' of the second split"):
+        kiv_fit("oracle", s1d, s2d)

@@ -47,8 +47,6 @@ def _manual_pairs(alphas, z_grid, labels, weight, z1, kernel_z):
         labels=np.asarray(labels, dtype=complex),
         weight=np.asarray(weight, dtype=float),
         dropped_pairs=0,
-        gamma_n=np.zeros((len(z1), len(z_grid))),
-        gamma_mn=np.zeros((len(z1), len(z_grid))),
         eigvals=eigvals,
         eig_u=eig_u,
         b_matrix=eig_u.T @ gram(z1, z_grid, kernel_z),
@@ -187,6 +185,60 @@ def test_step2_grad_matches_finite_differences():
         assert np.linalg.norm(ana - fd) <= 1e-4 * np.linalg.norm(fd)
 
 
+def _complex_step2_reference(x, log_lambda, pairs):
+    # loss and gradients written directly from w_X = (xE)'Gamma / E'Gamma with
+    # E = exp(i x alpha'), Gamma = U diag(1/denom) B, in complex arithmetic
+    s1, lam, alphas = x.size, np.exp(log_lambda), pairs.alphas
+    denom = pairs.eigvals + s1 * lam
+    gamma = pairs.eig_u @ (pairs.b_matrix / denom[:, None])
+    dgamma = -s1 * lam * pairs.eig_u @ (pairs.b_matrix / denom[:, None] ** 2)
+    e = np.exp(1j * np.outer(x, alphas))
+    d = e.T @ gamma
+    w = ((e * x[:, None]).T @ gamma) / d
+    resid = w - pairs.labels
+    n_used = pairs.weight.sum()
+    loss = np.sum(pairs.weight * np.abs(resid) ** 2) / n_used
+    g = pairs.weight * np.conj(resid) / d
+    # dw[a, j] / dx_k = E[k, a] Gamma[k, j] (1 + i alpha_a (x_k - w[a, j])) / d[a, j]
+    dn_minus_w_dd = np.einsum(
+        "ka,kj,kaj->kaj", e, gamma, 1.0 + 1j * alphas[None, :, None] * (x[:, None, None] - w[None])
+    )
+    grad_x = 2.0 / n_used * np.real(np.einsum("aj,kaj->k", g, dn_minus_w_dd))
+    dd_ll = e.T @ dgamma
+    dn_ll = (e * x[:, None]).T @ dgamma
+    grad_ll = 2.0 / n_used * np.real(np.sum(g * (dn_ll - w * dd_ll)))
+    return w, loss, grad_x, grad_ll
+
+
+def test_step2_real_block_layout_matches_complex_math():
+    from mekiv.charfun import w_x
+    from mekiv.estimator import _Step2Eval
+
+    for seed in range(5):
+        rng = np.random.default_rng(400 + seed)
+        n_alpha, n_z = 6, 7
+        z1 = rng.normal(size=12)
+        labels = rng.normal(size=(n_alpha, n_z)) + 1j * rng.normal(size=(n_alpha, n_z))
+        weight = (rng.uniform(size=(n_alpha, n_z)) < 0.8).astype(float)
+        pairs = _manual_pairs(rng.normal(size=n_alpha), rng.normal(size=n_z), labels, weight,
+                              z1, KernelSpec([1.0]))
+        x0 = rng.normal(size=12)
+        ll0 = float(rng.normal() - 4.0)
+        ev = _Step2Eval(x0, ll0, pairs)
+        denom = pairs.eigvals + x0.size * np.exp(ll0)
+        gamma = pairs.eig_u @ np.diag(1.0 / denom) @ pairs.b_matrix
+        for a, alpha in enumerate(pairs.alphas):
+            for j in range(n_z):
+                ref = w_x(x0, gamma[:, j], alpha)
+                assert abs(ev.w_grid[a, j] - ref) <= 1e-12 * abs(ref)
+        w_ref, loss_ref, gx_ref, gl_ref = _complex_step2_reference(x0, ll0, pairs)
+        assert np.abs(ev.w_grid - w_ref).max() <= 1e-12 * np.abs(w_ref).max()
+        assert abs(ev.loss - loss_ref) <= 1e-12 * loss_ref
+        gx, gl = ev.gradients()
+        assert np.linalg.norm(gx - gx_ref) <= 1e-12 * np.linalg.norm(gx_ref)
+        assert abs(gl - gl_ref) <= 1e-12 * abs(gl_ref)
+
+
 def test_step2_grad_antisymmetric_under_sign_flip():
     # alphas (a, -a) with labels (w, -w) make the loss even in x, so the
     # x-gradient must be odd
@@ -316,6 +368,18 @@ def test_mekiv_fit_rejects_empty_splits():
                            "n": np.empty((0, 1)), "y": np.empty(0)})()
     with pytest.raises(ValueError):
         mekiv_fit(s1d, empty)
+
+
+def test_mekiv_fit_rejects_non_finite_columns_at_entry():
+    spec = DesignSpec(design="linear", sample_size=200, seed=5)
+    s1d, s2d = generate_splits(spec, 100, 100)
+    s1d.m[3, 0] = np.inf
+    with pytest.raises(ValueError, match="column 'm' of the first split"):
+        mekiv_fit(s1d, s2d)
+    s1d.m[3, 0] = 0.0
+    s2d.z[5, 0] = np.nan
+    with pytest.raises(ValueError, match="column 'z' of the second split"):
+        mekiv_fit(s1d, s2d)
 
 
 def test_mekiv_fit_deterministic_under_seed():

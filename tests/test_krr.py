@@ -172,3 +172,13 @@ def test_validate_lambda_matches_brute_force_argmin():
     best = krr.validate_lambda(z, out, kernel, kernel, grid)
     scores = _brute_force_scores(z[:, None], out, kernel, kernel, grid)
     assert best == pytest.approx(grid[int(np.argmin(scores))])
+
+
+def test_validate_lambda_raises_when_no_score_is_finite():
+    rng = np.random.default_rng(9)
+    z = rng.normal(size=20)
+    out = rng.normal(size=20)
+    out[3] = np.inf  # in the training half: every holdout score is NaN
+    kernel = KernelSpec([1.0])
+    with pytest.raises(krr.NumericalError, match="no finite holdout score"):
+        krr.validate_lambda(z, out, kernel, kernel, np.logspace(-5, 0, 4) / len(z))
