@@ -43,7 +43,6 @@ from .estimator import (
     make_training_pairs,
     mekiv_fit,
     optimize_latents,
-    predict,
     step1,
     step2_grad,
     step2_loss,
@@ -73,7 +72,6 @@ from .krr import (
     CmeSolver,
     NumericalError,
     default_lambda_grid,
-    embed_eval,
     fit,
     validate_lambda,
 )

@@ -11,18 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import krr
-from .estimator import DEFAULT_XI_GRID, StructuralFn, require_finite, step3
+from .estimator import DEFAULT_XI_GRID, StructuralFn, require_finite, require_rows, step3
 from .kernels import KernelSpec, Standardizer, median_heuristic
 
 BASELINE_KINDS = ("oracle", "m-as-x", "mn-average")
 
 
-def _proxy(kind: str, split) -> np.ndarray:
+def _proxy(kind: str, split, z: np.ndarray) -> np.ndarray:
     def col(name):
         val = getattr(split, name, None)
         if val is None:
             raise ValueError(f"baseline '{kind}' needs column '{name}' in the data split")
         arr = np.asarray(val, dtype=float)
+        require_rows("first split", z=z, **{name: arr})
         require_finite("first split", **{name: arr})
         return arr[:, None] if arr.ndim == 1 else arr
 
@@ -41,13 +42,15 @@ def kiv_fit(kind: str, split1, split2, lambda_grid=None, xi_grid=None) -> Struct
     Stage 1 validates the ridge parameter on a holdout of (z, proxy) pairs;
     stage 2 is shared with the measurement-error estimator.
     """
-    x1 = _proxy(kind, split1)
     z1 = np.asarray(split1.z, dtype=float)
+    x1 = _proxy(kind, split1, z1)
     y1 = np.asarray(split1.y, dtype=float).ravel()
     z2 = np.asarray(split2.z, dtype=float)
     y2 = np.asarray(split2.y, dtype=float).ravel()
     if len(z2) == 0 or len(y2) == 0:
         raise ValueError("second split is empty")
+    require_rows("first split", z=z1, y=y1)
+    require_rows("second split", z=z2, y=y2)
     require_finite("first split", z=z1, y=y1)
     require_finite("second split", z=z2, y=y2)
 

@@ -143,6 +143,12 @@ class TrainingPairs:
     can be re-derived for any ridge value with a diagonal rescale instead of
     a fresh factorization: Gamma = U diag(1 / (eigvals + s1 * lam)) B.
 
+    The eigensystem is cut to the numerical rank r of K_ZZ (see
+    ``instrument_eigensystem``): only the r eigenpairs with
+    e_k > e_max * s1 * eps are kept, so U is (s1, r) and B is (r, J). The
+    dropped eigenpairs are rounding noise, with |B_k| near 1e-14. When K_ZZ has
+    full rank, r = s1 and the arrays are those of the full ``eigh``.
+
     ``eig_u`` (U) and ``b_matrix`` (B) are real, so step 2 multiplies them
     only with real matrices: the stacked [cos, sin, x*cos, x*sin] phase blocks
     described in ``_Step2Eval``. Only the (A, J) labels are complex.
@@ -153,9 +159,9 @@ class TrainingPairs:
     labels: np.ndarray  # (A, J) complex
     weight: np.ndarray  # (A, J) in {0, 1}
     dropped_pairs: int  # degenerate-denominator labels among the selected pairs
-    eigvals: np.ndarray  # (s1,) eigenvalues of K_ZZ
-    eig_u: np.ndarray  # (s1, s1) orthonormal eigenvectors
-    b_matrix: np.ndarray  # (s1, J) = U' K_{Z, z_grid}
+    eigvals: np.ndarray  # (r,) eigenvalues of K_ZZ above the rank tolerance
+    eig_u: np.ndarray  # (s1, r) orthonormal eigenvectors
+    b_matrix: np.ndarray  # (r, J) = U' K_{Z, z_grid}
 
     def __len__(self) -> int:
         return int(round(self.weight.sum()))
@@ -163,6 +169,23 @@ class TrainingPairs:
     @property
     def n_latents(self) -> int:
         return self.eig_u.shape[0]
+
+
+def instrument_eigensystem(
+    z: np.ndarray, z_grid: np.ndarray, kernel_z: KernelSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of K_ZZ up to its numerical rank, and B = U' K_{Z, z_grid}.
+
+    Keeps the r eigenpairs with e_k > e_max * s1 * eps, the tolerance
+    ``np.linalg.matrix_rank`` uses by default, and returns (eigvals (r,),
+    U (s1, r), B (r, J)). U is a column view of the full ``eigh`` output, so
+    at full rank every array is the one ``eigh`` and the plain product give.
+    """
+    eigvals, eig_u = np.linalg.eigh(gram(z, z, kernel_z))
+    s1 = eigvals.size
+    rank = int(np.count_nonzero(eigvals > eigvals[-1] * s1 * np.finfo(float).eps))
+    eigvals, eig_u = eigvals[s1 - rank :], eig_u[:, s1 - rank :]
+    return eigvals, eig_u, eig_u.T @ gram(z, z_grid, kernel_z)
 
 
 def make_training_pairs(
@@ -217,10 +240,7 @@ def make_training_pairs(
             "stage-1 embeddings are unusable"
         )
 
-    z_std = stage1.z
-    kzz = gram(z_std, z_std, stage1.kernel_z)
-    eigvals, eig_u = np.linalg.eigh(kzz)
-    b_matrix = eig_u.T @ gram(z_std, zqs, stage1.kernel_z)
+    eigvals, eig_u, b_matrix = instrument_eigensystem(stage1.z, zqs, stage1.kernel_z)
 
     return TrainingPairs(
         alphas=alphas,
@@ -239,11 +259,14 @@ class _Step2Eval:
 
     With phases E = exp(i x alpha') = C + iS (s1, A) and latent weights
     Gamma = U diag(1/denom) B (s1, J), the ratio w_X = n / d has
-    d = E' Gamma and n = (x E)' Gamma. U and B are real, so every O(A * s1^2)
-    product runs in real arithmetic on the stacked phase block
-    P' = [C'; S'; (x C)'; (x S)'] of shape (4A, s1):
+    d = E' Gamma and n = (x E)' Gamma. U (s1, r) and B (r, J) hold only the
+    r eigenpairs of K_ZZ above its numerical rank tolerance
+    e_max * s1 * eps (r = s1 at full rank; see ``TrainingPairs``), and denom
+    is (r,). U and B are real, so every O(A * s1 * r) product runs in real
+    arithmetic on the stacked phase block P' = [C'; S'; (x C)'; (x S)'] of
+    shape (4A, s1):
 
-        F = P' U / denom   (4A, s1)
+        F = P' U / denom   (4A, r)
         D = F B            (4A, J), row blocks Re d, Im d, Re n, Im n.
 
     Only the (A, J) ratio, mask and loss are complex. The gradient reuses the
@@ -258,11 +281,11 @@ class _Step2Eval:
             raise ValueError(f"x must have length {s1}, got {self.x.size}")
         self.lam = float(np.exp(log_lambda_x))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            self.denom_e = pairs.eigvals + s1 * self.lam  # (s1,)
+            self.denom_e = pairs.eigvals + s1 * self.lam  # (r,)
             phase = np.outer(pairs.alphas, self.x)  # (A, s1)
             cos, sin = np.cos(phase), np.sin(phase)
             self.p_block = np.concatenate([cos, sin, cos * self.x, sin * self.x])  # P'
-            self.f_block = self.p_block @ pairs.eig_u  # (4A, s1)
+            self.f_block = self.p_block @ pairs.eig_u  # (4A, r)
             self.f_block /= self.denom_e
             d_re, d_im, n_re, n_im = np.split(self.f_block @ pairs.b_matrix, 4)
             d_grid = d_re + 1j * d_im  # (A, J)
@@ -286,7 +309,7 @@ class _Step2Eval:
         derivatives need q = diag(1/denom) B [g, h]' and P = U q. Both run as
         real products on the stacked G = [Re g; Im g; Re h; Im h] (4A, J),
         kept transposed so that row blocks line up with ``p_block`` and
-        ``f_block``: q' = G B' / denom and P' = q' U'.
+        ``f_block``: q' = G B' / denom (4A, r) and P' = q' U' (4A, s1).
         """
         pairs, x = self.pairs, self.x
         s1 = pairs.n_latents
@@ -296,7 +319,7 @@ class _Step2Eval:
         g_mat = self.mask * np.conj(self.resid) / self.d_safe  # (A, J)
         h_mat = g_mat * self.w_grid
         g_block = np.concatenate([g_mat.real, g_mat.imag, h_mat.real, h_mat.imag])
-        q_block = g_block @ pairs.b_matrix.T  # (4A, s1)
+        q_block = g_block @ pairs.b_matrix.T  # (4A, r)
         q_block /= self.denom_e
         alphas = pairs.alphas
 
@@ -365,6 +388,11 @@ def optimize_latents(
     relative improvement over ``patience`` accepted steps falls below
     ``tol``, the step size underflows, or ``max_iters`` proposals have been
     made. The loss trace over accepted steps is non-increasing.
+
+    No proposal is made once the loss is at the rounding floor
+    eps * mean(|labels|^2) over the usable pairs: below it the residual is
+    rounding error (as at zero measurement error, where the initialization
+    already reproduces the labels) and there is nothing left to fit.
     """
     cfg = config or GdConfig()
     if len(pairs) == 0:
@@ -382,8 +410,12 @@ def optimize_latents(
     trace = [ev.loss]
     last_dropped = ev.dropped
     step = cfg.initial_step
+    label_sq = pairs.labels.real**2 + pairs.labels.imag**2
+    floor = np.finfo(float).eps * float(np.sum(pairs.weight * label_sq) / pairs.weight.sum())
 
     for _ in range(cfg.max_iters):
+        if trace[-1] <= floor:
+            break
         prop_ll = loglam - step * grad_ll
         cand = _Step2Eval(x - step * grad_x, prop_ll, pairs)
         if cand.loss <= trace[-1]:  # NaN/inf compares False and is rejected
@@ -431,10 +463,6 @@ class StructuralFn:
         k = gram(self.anchors, self.x_scaler.transform(pts), self.kernel_x)
         vals = self.y_scaler.inverse(self.beta @ k)
         return float(vals[0]) if single else vals
-
-
-def predict(fn: StructuralFn, x):
-    return fn.predict(x)
 
 
 def step3(
@@ -550,6 +578,18 @@ def require_finite(split_name: str, **columns: np.ndarray) -> None:
             )
 
 
+def require_rows(split_name: str, **columns: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first column whose row count differs
+    from that of the first column given."""
+    (ref_name, ref), *rest = columns.items()
+    for name, arr in rest:
+        if len(arr) != len(ref):
+            raise ValueError(
+                f"column '{name}' of the {split_name} has {len(arr)} row(s), "
+                f"but column '{ref_name}' has {len(ref)}"
+            )
+
+
 def mekiv_fit(split1, split2, config: MekivConfig | None = None, details: bool = False):
     """Fit the full estimator from two disjoint data splits.
 
@@ -570,6 +610,8 @@ def mekiv_fit(split1, split2, config: MekivConfig | None = None, details: bool =
         raise ValueError("first split is empty")
     if len(z2) == 0 or len(y2) == 0:
         raise ValueError("second split is empty")
+    require_rows("first split", z=z1, m=m1, n=n1, y=y1)
+    require_rows("second split", z=z2, y=y2)
     require_finite("first split", z=z1, m=m1, n=n1, y=y1)
     require_finite("second split", z=z2, y=y2)
     cd = int(getattr(split1, "corrupted_dim", 0))

@@ -122,10 +122,6 @@ class CmeEmbedding:
         return float(g @ ky[:, 0])
 
 
-def embed_eval(emb: CmeEmbedding, z, y) -> float:
-    return emb.embed_eval(z, y)
-
-
 def _holdout_scores(z_tr, z_val, o_tr, o_val, kernel_z, kernel_out, grid):
     """Kernel-trick embedding loss on the holdout, one score per grid lambda.
 

@@ -17,6 +17,7 @@ from mekiv.datagen import DesignSpec, generate, generate_splits, moment_checks
 from mekiv.estimator import (
     MekivConfig,
     TrainingPairs,
+    instrument_eigensystem,
     make_training_pairs,
     mekiv_fit,
     step1,
@@ -24,7 +25,7 @@ from mekiv.estimator import (
     step2_loss,
 )
 from mekiv.harness import ExperimentConfig, mse_out_of_sample, run_experiment
-from mekiv.kernels import KernelSpec, SpectralSampler, gram, median_heuristic
+from mekiv.kernels import KernelSpec, SpectralSampler, median_heuristic
 
 
 def _check(name, ok, detail):
@@ -123,9 +124,8 @@ def _random_instance(seed):
     s1, n_alpha, n_z = 10, 4, 5
     z1 = rng.normal(size=(s1, 1))
     kernel_z = KernelSpec([1.0])
-    kzz = gram(z1, z1, kernel_z)
-    eigvals, eig_u = np.linalg.eigh(kzz)
     z_grid = rng.normal(size=(n_z, 1))
+    eigvals, eig_u, b_matrix = instrument_eigensystem(z1, z_grid, kernel_z)
     pairs = TrainingPairs(
         alphas=rng.normal(size=n_alpha),
         z_grid=z_grid,
@@ -134,7 +134,7 @@ def _random_instance(seed):
         dropped_pairs=0,
         eigvals=eigvals,
         eig_u=eig_u,
-        b_matrix=eig_u.T @ gram(z1, z_grid, kernel_z),
+        b_matrix=b_matrix,
     )
     x0 = rng.normal(size=s1)
     ll0 = float(rng.normal() - 4.0)

@@ -109,3 +109,19 @@ def test_non_finite_columns_rejected_at_entry():
     s1d.x[3, 0] = 0.0
     with pytest.raises(ValueError, match="column 'y' of the second split"):
         kiv_fit("oracle", s1d, s2d)
+
+
+def test_mismatched_rows_rejected_at_entry():
+    spec = DesignSpec(design="linear", sample_size=200, seed=6)
+    s1d, s2d = generate_splits(spec, 100, 100)
+    y1, y2 = s1d.y, s2d.y
+    s1d.y = y1[:-1]
+    for kind in BASELINE_KINDS:
+        with pytest.raises(ValueError, match="column 'y' of the first split has 99 row"):
+            kiv_fit(kind, s1d, s2d)
+    s1d.y, s2d.y = y1, y2[:-1]
+    with pytest.raises(ValueError, match="column 'y' of the second split has 99 row"):
+        kiv_fit("m-as-x", s1d, s2d)
+    s2d.y, s1d.n = y2, s1d.n[:-1]
+    with pytest.raises(ValueError, match="column 'n' of the first split has 99 row"):
+        kiv_fit("mn-average", s1d, s2d)

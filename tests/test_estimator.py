@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,10 @@ from mekiv.estimator import (
     Stage1Output,
     StructuralFn,
     TrainingPairs,
+    instrument_eigensystem,
     make_training_pairs,
     mekiv_fit,
     optimize_latents,
-    predict,
     step1,
     step2_grad,
     step2_loss,
@@ -36,11 +38,10 @@ def _manual_pairs(alphas, z_grid, labels, weight, z1, kernel_z):
     z1 = np.asarray(z1, dtype=float)
     if z1.ndim == 1:
         z1 = z1[:, None]
-    kzz = gram(z1, z1, kernel_z)
-    eigvals, eig_u = np.linalg.eigh(kzz)
     z_grid = np.asarray(z_grid, dtype=float)
     if z_grid.ndim == 1:
         z_grid = z_grid[:, None]
+    eigvals, eig_u, b_matrix = instrument_eigensystem(z1, z_grid, kernel_z)
     return TrainingPairs(
         alphas=np.asarray(alphas, dtype=float),
         z_grid=z_grid,
@@ -49,7 +50,7 @@ def _manual_pairs(alphas, z_grid, labels, weight, z1, kernel_z):
         dropped_pairs=0,
         eigvals=eigvals,
         eig_u=eig_u,
-        b_matrix=eig_u.T @ gram(z1, z_grid, kernel_z),
+        b_matrix=b_matrix,
     )
 
 
@@ -239,6 +240,49 @@ def test_step2_real_block_layout_matches_complex_math():
         assert abs(gl - gl_ref) <= 1e-12 * abs(gl_ref)
 
 
+def test_step2_on_rank_truncated_eigensystem_matches_full_eigh():
+    # a 1-d instrument gives a Gaussian K_ZZ of low numerical rank; the
+    # dropped eigenpairs are rounding noise and must not move the objective
+    z, x, m, n, stage1 = _kotlarski_stage1(seed=30, s1=200, noise=1.0)
+    pairs = make_training_pairs(stage1, np.linspace(-1.5, 1.5, 20), 8, None,
+                                np.random.default_rng(31))
+    s1 = pairs.n_latents
+    assert pairs.eigvals.size < s1 // 4
+    assert pairs.eig_u.shape == (s1, pairs.eigvals.size)
+    assert pairs.b_matrix.shape == (pairs.eigvals.size, 20)
+    eigvals, eig_u = np.linalg.eigh(gram(stage1.z, stage1.z, stage1.kernel_z))
+    full = dataclasses.replace(
+        pairs, eigvals=eigvals, eig_u=eig_u,
+        b_matrix=eig_u.T @ gram(stage1.z, pairs.z_grid, stage1.kernel_z),
+    )
+    rng = np.random.default_rng(32)
+    x0 = 0.5 * (stage1.m + stage1.n)
+    ll0 = float(np.log(stage1.lambda_n))
+    for x_eval, ll in ((x0, ll0), (x0 + 0.3 * rng.standard_normal(s1), ll0 - 1.0)):
+        loss, (gx, gl) = step2_loss(x_eval, ll, pairs), step2_grad(x_eval, ll, pairs)
+        loss_ref, (gx_ref, gl_ref) = step2_loss(x_eval, ll, full), step2_grad(x_eval, ll, full)
+        assert abs(loss - loss_ref) <= 1e-9 * loss_ref
+        assert np.linalg.norm(gx - gx_ref) <= 1e-9 * np.linalg.norm(gx_ref)
+        assert abs(gl - gl_ref) <= 1e-9 * abs(gl_ref)
+
+
+def test_training_pairs_full_rank_eigensystem_is_plain_eigh():
+    # the demand design's 3-d instrument gives a full-rank K_ZZ: the arrays
+    # must be exactly those of a plain eigh, so no sum changes order
+    spec = DesignSpec(design="demand", rho=0.5, merror_level=1.0, sample_size=1, seed=33)
+    s1d, s2d = generate_splits(spec, 150, 150)
+    cd = s1d.corrupted_dim
+    stage1 = step1(s1d.z, s1d.m[:, cd], s1d.n[:, cd])
+    pairs = make_training_pairs(stage1, s2d.z, 4, 200, np.random.default_rng(34))
+    eigvals, eig_u = np.linalg.eigh(gram(stage1.z, stage1.z, stage1.kernel_z))
+    b_matrix = eig_u.T @ gram(stage1.z, pairs.z_grid, stage1.kernel_z)
+    assert pairs.eig_u.shape == (150, 150)
+    assert np.array_equal(pairs.eigvals, eigvals)
+    assert np.array_equal(pairs.eig_u, eig_u)
+    assert pairs.eig_u.strides == eig_u.strides
+    assert np.array_equal(pairs.b_matrix, b_matrix)
+
+
 def test_step2_grad_antisymmetric_under_sign_flip():
     # alphas (a, -a) with labels (w, -w) make the loss even in x, so the
     # x-gradient must be odd
@@ -287,6 +331,18 @@ def test_optimize_latents_zero_error_keeps_initialization_close():
         rec = optimize_latents(stage1, pairs, GdConfig(max_iters=300))
         drift = stage1.x_scaler.inverse(rec.x_hat) - x
         assert np.sqrt(np.mean(drift**2)) < 1e-2
+
+
+def test_optimize_latents_makes_no_proposal_at_the_rounding_floor():
+    # without measurement error the initialization reproduces the labels up
+    # to rounding, so there is nothing for gradient descent to fit
+    spec = DesignSpec(design="linear", merror_level=0.0, sample_size=1, seed=3)
+    s1d, s2d = generate_splits(spec, 200, 200)
+    stage1 = step1(s1d.z, s1d.m[:, 0], s1d.n[:, 0])
+    pairs = make_training_pairs(stage1, s2d.z, 16, 2000, np.random.default_rng(36))
+    rec = optimize_latents(stage1, pairs)
+    assert len(rec.loss_trace) == 1
+    assert np.array_equal(rec.x_hat, 0.5 * (stage1.m + stage1.n))
 
 
 def test_optimize_latents_rejects_non_finite_start():
@@ -356,7 +412,7 @@ def test_predict_one_hot_beta_reads_kernel_row():
     assert fn.predict(0.0) == pytest.approx(gram([1.0], [0.0], kernel)[0, 0])
     batch = fn.predict(np.array([0.0, 1.0]))
     assert batch.shape == (2,)
-    assert predict(fn, 1.0) == fn.predict(1.0)
+    assert fn.predict(1.0) == batch[1]
     # bit-identical repeat evaluations
     assert fn.predict(0.37) == fn.predict(0.37)
 
@@ -379,6 +435,21 @@ def test_mekiv_fit_rejects_non_finite_columns_at_entry():
     s1d.m[3, 0] = 0.0
     s2d.z[5, 0] = np.nan
     with pytest.raises(ValueError, match="column 'z' of the second split"):
+        mekiv_fit(s1d, s2d)
+
+
+def test_mekiv_fit_rejects_mismatched_rows_at_entry():
+    spec = DesignSpec(design="linear", sample_size=200, seed=5)
+    s1d, s2d = generate_splits(spec, 100, 100)
+    y1, y2 = s1d.y, s2d.y
+    s1d.y = y1[:-1]
+    with pytest.raises(ValueError, match="column 'y' of the first split has 99 row"):
+        mekiv_fit(s1d, s2d)
+    s1d.y, s2d.y = y1, y2[:-1]
+    with pytest.raises(ValueError, match="column 'y' of the second split has 99 row"):
+        mekiv_fit(s1d, s2d)
+    s2d.y, s1d.n = y2, s1d.n[:-1]
+    with pytest.raises(ValueError, match="column 'n' of the first split has 99 row"):
         mekiv_fit(s1d, s2d)
 
 

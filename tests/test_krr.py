@@ -84,7 +84,7 @@ def test_embedding_single_anchor_and_limits():
     solver = krr.fit([0.0], KernelSpec([1.0]), lam)
     emb = krr.CmeEmbedding(solver, [1.3], KernelSpec([1.0]))
     expected = gram([1.3], [0.2], emb.kernel_out)[0, 0] / (1.0 + lam)
-    assert krr.embed_eval(emb, [0.0], [0.2]) == pytest.approx(expected, rel=1e-12)
+    assert emb.embed_eval([0.0], [0.2]) == pytest.approx(expected, rel=1e-12)
     # far query decays to zero
     assert abs(emb.embed_eval([0.0], [40.0])) < 1e-12
     heavy = krr.CmeEmbedding(krr.fit([0.0], KernelSpec([1.0]), 1e12), [1.3], KernelSpec([1.0]))
