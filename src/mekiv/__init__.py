@@ -10,10 +10,8 @@ from .charfun import (
     EPS_DENOM,
     DegenerateRatioError,
     EmpiricalCF,
-    ecf,
-    ecf_dalpha,
-    joint_partial,
     l2q_distance_sq,
+    ratio_grid,
     rkhs_distance_sq,
     w_mn,
     w_x,
@@ -65,7 +63,6 @@ from .kernels import (
     gram,
     median_heuristic,
     rbf_eval,
-    sample_spectral,
 )
 from .krr import (
     CmeEmbedding,

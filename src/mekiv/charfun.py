@@ -6,10 +6,13 @@ anchors) define an empirical characteristic function
     psi(alpha) = sum_j gamma_j exp(i alpha a_j)
 
 together with its alpha-derivative and, for joint (m, n) anchor pairs, the
-partial derivative in the auxiliary frequency at zero. The ratio statistics
-``w_x`` / ``w_mn`` are the building blocks of the latent-sample recovery
-objective, and the two squared distances at the bottom realize both sides of
-the CME <-> characteristic-function duality: the Monte-Carlo L2(q) distance
+partial derivative in the auxiliary frequency at zero. ``ratio_grid`` is the
+one implementation of the ratio statistics w_MN / w_X of the latent-sample
+recovery objective, over an (alpha, column) grid: the step-2 labels come from
+it and ``w_mn`` / ``w_x`` are its scalar views. ``estimator._Step2Eval`` is
+its factored real-block fast path for w_X, pinned to ``w_x`` by a test. The
+two squared distances at the bottom realize both sides of the
+CME <-> characteristic-function duality: the Monte-Carlo L2(q) distance
 between empirical cfs and the closed-form RKHS distance between the
 corresponding embeddings.
 """
@@ -29,10 +32,9 @@ EPS_DENOM = 1e-8
 class DegenerateRatioError(ValueError):
     """Raised when a ratio statistic's denominator is numerically zero."""
 
-    def __init__(self, message: str, alpha=None, z=None):
+    def __init__(self, message: str, alpha=None):
         super().__init__(message)
         self.alpha = alpha
-        self.z = z
 
 
 @dataclass
@@ -77,16 +79,33 @@ class EmpiricalCF:
     __call__ = ecf
 
 
-def ecf(cf: EmpiricalCF, alpha):
-    return cf.ecf(alpha)
+def ratio_grid(alphas, anchors, companions, gamma_num, gamma_den):
+    """w[a, j] = sum_k c_k Gnum[k, j] e^{i alpha_a t_k} / sum_k Gden[k, j] e^{i alpha_a t_k}.
+
+    Anchors t and companions c are (s,) arrays, the weights Gnum and Gden
+    (s, J) arrays. Returns ``(w, degenerate)``, both (A, J); w is 0 where
+    ``degenerate`` flags |den| < ``EPS_DENOM``.
+    """
+    # keep these layouts: a mekiv fit on bimodal error is chaotic in their summation order
+    phases = np.exp(1j * np.outer(anchors, alphas))  # (s, A)
+    den = phases.T @ gamma_den.astype(complex)  # (A, J)
+    num = (phases * companions[:, None]).T @ gamma_num.astype(complex)
+    degenerate = np.abs(den) < EPS_DENOM
+    w = np.where(degenerate, 0.0 + 0.0j, num / np.where(degenerate, 1.0, den))
+    return w, degenerate
 
 
-def ecf_dalpha(cf: EmpiricalCF, alpha):
-    return cf.ecf_dalpha(alpha)
+def w_mn(m, n, gamma_mn, gamma_n, alpha: float) -> complex:
+    """Ratio sum_j m_j g^MN_j e^{i a n_j} / sum_j g^N_j e^{i a n_j}.
 
-
-def joint_partial(cf: EmpiricalCF, alpha):
-    return cf.joint_partial(alpha)
+    ``ratio_grid`` at one alpha and one column: raises
+    ``DegenerateRatioError`` where that grid flags the entry.
+    """
+    w, degenerate = ratio_grid([alpha], np.ravel(n), np.ravel(m),
+                               np.reshape(gamma_mn, (-1, 1)), np.reshape(gamma_n, (-1, 1)))
+    if degenerate[0, 0]:
+        raise DegenerateRatioError(f"degenerate cf denominator at alpha={alpha!r}", alpha=alpha)
+    return complex(w[0, 0])
 
 
 def w_x(x, gamma_x, alpha: float) -> complex:
@@ -96,34 +115,7 @@ def w_x(x, gamma_x, alpha: float) -> complex:
     CME weights for z (the leading i of the derivative cancels with the i in
     the log-derivative identity).
     """
-    xv = np.asarray(x, dtype=float).ravel()
-    gv = np.asarray(gamma_x, dtype=float).ravel()
-    phase = np.exp(1j * alpha * xv)
-    den = complex(gv @ phase)
-    if abs(den) < EPS_DENOM:
-        raise DegenerateRatioError(
-            f"degenerate cf denominator |{den:.3e}| < {EPS_DENOM:g} at alpha={alpha!r}",
-            alpha=alpha,
-        )
-    num = complex((xv * gv) @ phase)
-    return num / den
-
-
-def w_mn(m, n, gamma_mn, gamma_n, alpha: float) -> complex:
-    """Ratio sum_j m_j g^MN_j e^{i a n_j} / sum_j g^N_j e^{i a n_j}."""
-    mv = np.asarray(m, dtype=float).ravel()
-    nv = np.asarray(n, dtype=float).ravel()
-    g_mn = np.asarray(gamma_mn, dtype=float).ravel()
-    g_n = np.asarray(gamma_n, dtype=float).ravel()
-    phase = np.exp(1j * alpha * nv)
-    den = complex(g_n @ phase)
-    if abs(den) < EPS_DENOM:
-        raise DegenerateRatioError(
-            f"degenerate cf denominator |{den:.3e}| < {EPS_DENOM:g} at alpha={alpha!r}",
-            alpha=alpha,
-        )
-    num = complex((mv * g_mn) @ phase)
-    return num / den
+    return w_mn(x, x, gamma_x, gamma_x, alpha)
 
 
 def l2q_distance_sq(cf1, cf2, alpha_samples) -> float:

@@ -185,15 +185,22 @@ def _gen_curve_design(spec: DesignSpec, truth) -> Dataset:
     )
 
 
+def demand_draw(rng: np.random.Generator, count: int):
+    """Sentiment s, time t, cost shifter c and demand shock v, drawn in this
+    order, and the price p they give. v confounds price and outcome."""
+    s_col = rng.integers(1, 8, size=count).astype(float)
+    t = rng.uniform(0.0, 10.0, size=count)
+    c = rng.standard_normal(count)
+    v = rng.standard_normal(count)
+    p = 25.0 + (c + 3.0) * demand_psi(t) + v
+    return s_col, t, c, v, p
+
+
 def _gen_demand(spec: DesignSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     n = spec.sample_size
-    s_col = rng.integers(1, 8, size=n).astype(float)
-    t = rng.uniform(0.0, 10.0, size=n)
-    c = rng.standard_normal(n)
-    v = rng.standard_normal(n)  # demand shock, confounds price and outcome
+    s_col, t, c, v, p = demand_draw(rng, n)
     e = spec.rho * v + np.sqrt(1.0 - spec.rho**2) * rng.standard_normal(n)
-    p = 25.0 + (c + 3.0) * demand_psi(t) + v
     y = demand_truth(p, t, s_col) + e
     sigma_p = float(np.std(p))
     m_p, n_p = apply_merror(p, spec.merror_kind, spec.merror_level, sigma_p, rng)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import krr
-from .charfun import EPS_DENOM
+from .charfun import EPS_DENOM, ratio_grid
 from .kernels import (
     KernelSpec,
     SpectralSampler,
@@ -52,8 +52,6 @@ class Stage1Output:
     z_scaler: Standardizer
     x_scaler: Standardizer
     kernel_z: KernelSpec
-    kernel_m: KernelSpec
-    kernel_n: KernelSpec
 
     @property
     def z(self) -> np.ndarray:
@@ -74,10 +72,6 @@ class Stage1Output:
     @property
     def lambda_mn(self) -> float:
         return self.embedding_mn.solver.lam
-
-    @property
-    def size(self) -> int:
-        return self.embedding_n.solver.size
 
 
 def step1(z1, m1, n1, lambda_grid=None, split_fraction: float = 0.5) -> Stage1Output:
@@ -127,8 +121,6 @@ def step1(z1, m1, n1, lambda_grid=None, split_fraction: float = 0.5) -> Stage1Ou
         z_scaler=z_scaler,
         x_scaler=x_scaler,
         kernel_z=kernel_z,
-        kernel_m=kernel_m,
-        kernel_n=kernel_n,
     )
 
 
@@ -220,11 +212,7 @@ def make_training_pairs(
     gamma_mn = stage1.embedding_mn.solver.gamma_matrix(zqs)
 
     # w_MN labels on the full grid: phases over the N anchors, M in the numerator.
-    phases = np.exp(1j * np.outer(stage1.n, alphas))  # (s1, A)
-    den = phases.T @ gamma_n.astype(complex)  # (A, J)
-    num = (phases * stage1.m[:, None]).T @ gamma_mn.astype(complex)
-    degenerate = np.abs(den) < EPS_DENOM
-    labels = np.where(degenerate, 0.0 + 0.0j, num / np.where(degenerate, 1.0, den))
+    labels, degenerate = ratio_grid(alphas, stage1.n, stage1.m, gamma_mn, gamma_n)
 
     total = labels.size
     selected = np.ones(labels.shape, dtype=bool)
@@ -516,7 +504,8 @@ def step3(
     vvt = v @ v.T
     fits = []
     for xi in np.sort(xi_grid):
-        lower = krr.chol_factor_spd(vvt + s2 * xi * k_xx)
+        # = k_xx (Gamma Gamma' k_xx + s2*xi*I): singular with k_xx, so no jitter-0 try
+        lower = krr.chol_factor_spd(vvt + s2 * xi * k_xx, krr.JITTERS[1:])
         beta = krr.chol_solve(lower, vy)
         score = float(np.mean((y1s - v1.T @ beta) ** 2))
         fits.append((float(xi), score, beta))

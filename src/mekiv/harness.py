@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import kiv_fit
-from .datagen import DesignSpec, demand_psi, demand_truth, generate_splits, structural_truth
+from .datagen import DesignSpec, demand_draw, demand_truth, generate_splits, structural_truth
 from .estimator import GdConfig, MekivConfig, mekiv_fit
 
 METHODS = ("mekiv", "kiv-oracle", "kiv-m", "kiv-mn")
@@ -123,16 +123,6 @@ class ResultRow:
         ]
 
 
-def _demand_treatment_draw(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Fresh (p, t, s) sample from the demand design's treatment marginal."""
-    s_col = rng.integers(1, 8, size=count).astype(float)
-    t = rng.uniform(0.0, 10.0, size=count)
-    c = rng.standard_normal(count)
-    v = rng.standard_normal(count)
-    p = 25.0 + (c + 3.0) * demand_psi(t) + v
-    return np.column_stack([p, t, s_col])
-
-
 def mse_out_of_sample(
     fn,
     design: str,
@@ -151,9 +141,9 @@ def mse_out_of_sample(
         truth = structural_truth(design, grid)
         preds = np.asarray(fn.predict(grid), dtype=float)
     elif design == "demand":
-        pts = _demand_treatment_draw(np.random.default_rng([mc_seed, 202]), DEMAND_MSE_DRAWS)
-        truth = demand_truth(pts[:, 0], pts[:, 1], pts[:, 2])
-        preds = np.asarray(fn.predict(pts), dtype=float)
+        s_col, t, _, _, p = demand_draw(np.random.default_rng([mc_seed, 202]), DEMAND_MSE_DRAWS)
+        truth = demand_truth(p, t, s_col)
+        preds = np.asarray(fn.predict(np.column_stack([p, t, s_col])), dtype=float)
     else:
         raise ValueError(f"unknown design {design!r}")
     return float(np.mean((preds - truth) ** 2))
@@ -218,9 +208,12 @@ def _run_cell(config: ExperimentConfig, design: DesignSpec, method: str, seed: i
 
 def _worker_count() -> int:
     env = os.environ.get("MEKIV_WORKERS", "").strip()
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise ValueError(f"MEKIV_WORKERS must be an integer, got {env!r}") from None
 
 
 def write_results_csv(rows, path) -> None:

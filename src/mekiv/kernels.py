@@ -121,10 +121,6 @@ class SpectralSampler:
         return self.rng.normal(0.0, scale, size=(count, self.kernel.dimension))
 
 
-def sample_spectral(sampler: SpectralSampler, count: int) -> np.ndarray:
-    return sampler.sample(count)
-
-
 @dataclass
 class Standardizer:
     """Per-dimension affine map to zero mean / unit variance.

@@ -35,11 +35,11 @@ def default_lambda_grid(s: int) -> np.ndarray:
     return DEFAULT_RIDGE_SCALE / float(s)
 
 
-def chol_factor_spd(mat: np.ndarray) -> np.ndarray:
+def chol_factor_spd(mat: np.ndarray, jitters=JITTERS) -> np.ndarray:
     """Lower Cholesky factor of a symmetric PSD matrix with jitter escalation.
 
-    Jitter is relative to the mean diagonal so the ladder works for systems
-    far from unit scale.
+    ``jitters`` is the ladder tried in order. Jitter is relative to the mean
+    diagonal so the ladder works for systems far from unit scale.
     """
     if not np.all(np.isfinite(mat)):
         raise NumericalError(
@@ -47,13 +47,13 @@ def chol_factor_spd(mat: np.ndarray) -> np.ndarray:
         )
     eye = np.eye(len(mat))
     scale = float(np.mean(np.diag(mat))) or 1.0
-    for jit in JITTERS:
+    for jit in jitters:
         try:
             return scipy.linalg.cholesky(mat + jit * scale * eye if jit else mat, lower=True)
         except scipy.linalg.LinAlgError:
             continue
     raise NumericalError(
-        f"Cholesky failed after jitter escalation up to {JITTERS[-1]:g} "
+        f"Cholesky failed after jitter escalation up to {jitters[-1]:g} "
         f"(matrix size {len(mat)})"
     )
 

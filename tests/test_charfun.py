@@ -4,10 +4,8 @@ import pytest
 from mekiv.charfun import (
     DegenerateRatioError,
     EmpiricalCF,
-    ecf,
-    ecf_dalpha,
-    joint_partial,
     l2q_distance_sq,
+    ratio_grid,
     rkhs_distance_sq,
     w_mn,
     w_x,
@@ -18,7 +16,7 @@ from mekiv.kernels import KernelSpec, SpectralSampler
 def test_ecf_at_zero_is_weight_sum_with_exact_zero_imag():
     rng = np.random.default_rng(0)
     cf = EmpiricalCF(rng.normal(size=9), rng.normal(size=9))
-    val = ecf(cf, 0.0)
+    val = cf.ecf(0.0)
     assert val.real == pytest.approx(cf.weights.sum(), rel=1e-14)
     assert val.imag == 0.0
 
@@ -26,14 +24,14 @@ def test_ecf_at_zero_is_weight_sum_with_exact_zero_imag():
 def test_ecf_single_anchor_is_unit_phase():
     cf = EmpiricalCF([1.0], [2.0])
     for alpha in (-1.3, 0.4, 2.2):
-        val = ecf(cf, alpha)
+        val = cf.ecf(alpha)
         assert val == pytest.approx(np.cos(2.0 * alpha) + 1j * np.sin(2.0 * alpha))
 
 
 def test_ecf_symmetric_anchors_are_real():
     cf = EmpiricalCF([0.5, 0.5], [1.7, -1.7])
     for alpha in (0.3, 1.1, 4.0):
-        val = ecf(cf, alpha)
+        val = cf.ecf(alpha)
         assert val.real == pytest.approx(np.cos(1.7 * alpha))
         assert abs(val.imag) < 1e-16
 
@@ -42,8 +40,8 @@ def test_ecf_conjugate_symmetry_exact():
     rng = np.random.default_rng(1)
     cf = EmpiricalCF(rng.normal(size=11), rng.normal(size=11) * 3)
     for alpha in rng.normal(size=10) * 2:
-        a = ecf(cf, alpha)
-        b = ecf(cf, -alpha)
+        a = cf.ecf(alpha)
+        b = cf.ecf(-alpha)
         assert a.real == b.real and a.imag == -b.imag
 
 
@@ -53,14 +51,14 @@ def test_ecf_vectorized_alpha():
     alphas = np.linspace(-2, 2, 7)
     vec = cf(alphas)
     assert vec.shape == (7,)
-    assert vec[3] == pytest.approx(ecf(cf, alphas[3]))
+    assert vec[3] == pytest.approx(cf.ecf(alphas[3]))
 
 
 def test_derivative_odd_symmetry_and_single_anchor():
     cf = EmpiricalCF([0.5, 0.5], [1.2, -1.2])
-    assert ecf_dalpha(cf, 0.0) == pytest.approx(0.0)
+    assert cf.ecf_dalpha(0.0) == pytest.approx(0.0)
     single = EmpiricalCF([1.0], [0.8])
-    assert ecf_dalpha(single, 0.0) == pytest.approx(1j * 0.8)
+    assert single.ecf_dalpha(0.0) == pytest.approx(1j * 0.8)
 
 
 def test_derivative_matches_finite_differences():
@@ -68,8 +66,8 @@ def test_derivative_matches_finite_differences():
     cf = EmpiricalCF(rng.normal(size=8), rng.uniform(-10, 10, size=8))
     h = 1e-6
     for alpha in (0.0, 0.7, -1.9):
-        fd = (ecf(cf, alpha + h) - ecf(cf, alpha - h)) / (2 * h)
-        an = ecf_dalpha(cf, alpha)
+        fd = (cf.ecf(alpha + h) - cf.ecf(alpha - h)) / (2 * h)
+        an = cf.ecf_dalpha(alpha)
         assert abs(an - fd) <= 1e-6 * max(abs(fd), 1e-12)
 
 
@@ -78,9 +76,9 @@ def test_joint_partial_cases_and_finite_difference():
     n_anchors = rng.normal(size=6)
     weights = rng.normal(size=6)
     zero_m = EmpiricalCF(weights, n_anchors, companions=np.zeros(6))
-    assert joint_partial(zero_m, 0.9) == pytest.approx(0.0)
+    assert zero_m.joint_partial(0.9) == pytest.approx(0.0)
     single = EmpiricalCF([1.0], [3.0], companions=[2.0])
-    assert joint_partial(single, 0.0) == pytest.approx(2j)
+    assert single.joint_partial(0.0) == pytest.approx(2j)
     # finite difference in the auxiliary frequency of sum g exp(i (u m + a n))
     m = rng.normal(size=6)
     cf = EmpiricalCF(weights, n_anchors, companions=m)
@@ -89,13 +87,13 @@ def test_joint_partial_cases_and_finite_difference():
         up = np.sum(weights * np.exp(1j * (h * m + alpha * n_anchors)))
         dn = np.sum(weights * np.exp(1j * (-h * m + alpha * n_anchors)))
         fd = (up - dn) / (2 * h)
-        assert abs(joint_partial(cf, alpha) - fd) <= 1e-6 * max(abs(fd), 1e-12)
+        assert abs(cf.joint_partial(alpha) - fd) <= 1e-6 * max(abs(fd), 1e-12)
 
 
 def test_joint_partial_requires_companions():
     cf = EmpiricalCF([1.0], [0.0])
     with pytest.raises(ValueError):
-        joint_partial(cf, 0.0)
+        cf.joint_partial(0.0)
 
 
 def test_w_x_point_mass_and_weighted_mean():
@@ -123,6 +121,34 @@ def test_w_x_degenerate_denominator_raises_with_diagnostics():
     with pytest.raises(DegenerateRatioError) as err:
         w_x([1.0, 1.0], [0.0, 0.0], 0.3)
     assert err.value.alpha == 0.3
+
+
+def test_ratio_grid_degenerate_entries_are_zero_and_raise_in_scalar_view():
+    # column 1 has zero denominator weights; column 2 puts unit weights on
+    # anchors 0 and pi, whose phases cancel at alpha = 1 and 3 but not at 0.5
+    rng = np.random.default_rng(16)
+    alphas = np.array([0.5, 1.0, 3.0, -0.7])
+    t = np.array([0.0, np.pi, 1.3, -0.4])
+    c = rng.normal(size=4)
+    g_num = rng.normal(size=(4, 3))
+    g_den = rng.uniform(0.2, 1.0, size=(4, 3))
+    g_den[:, 1] = 0.0
+    g_den[:, 2] = [1.0, 1.0, 0.0, 0.0]
+    w, degenerate = ratio_grid(alphas, t, c, g_num, g_den)
+    assert w.shape == degenerate.shape == (4, 3)
+    assert degenerate[:, 1].all() and np.all(w[:, 1] == 0.0)
+    assert degenerate[:, 2].tolist() == [False, True, True, False]
+    assert not degenerate[:, 0].any()
+    assert np.all(w[degenerate] == 0.0)
+    for a, alpha in enumerate(alphas):
+        for j in range(3):
+            if degenerate[a, j]:
+                with pytest.raises(DegenerateRatioError) as err:
+                    w_mn(c, t, g_num[:, j], g_den[:, j], alpha)
+                assert err.value.alpha == alpha
+            else:
+                val = w_mn(c, t, g_num[:, j], g_den[:, j], alpha)
+                assert val == pytest.approx(w[a, j], rel=1e-14)
 
 
 def test_w_mn_reduces_to_w_x_without_error():

@@ -390,6 +390,31 @@ def test_step3_heavy_ridge_predicts_outcome_mean():
         assert fn.predict(q) == pytest.approx(y2.mean(), abs=1e-4)
 
 
+def test_step3_makes_no_failing_cholesky_attempt(monkeypatch):
+    # the step-3 matrix carries the null space of k_xx, which a 1-d treatment
+    # makes numerically singular: an unjittered factorization would fail
+    failures = []
+    cholesky = krr.scipy.linalg.cholesky
+
+    def counted(*args, **kwargs):
+        try:
+            return cholesky(*args, **kwargs)
+        except krr.scipy.linalg.LinAlgError:
+            failures.append(len(args[0]))
+            raise
+
+    spec = DesignSpec(design="linear", merror_level=0.0, sample_size=400, seed=23)
+    s1d, s2d = generate_splits(spec, 200, 200)
+    z_scaler = Standardizer.fit(s1d.z)
+    x_scaler = Standardizer.fit(s1d.x)
+    monkeypatch.setattr(krr.scipy.linalg, "cholesky", counted)
+    fn = step3(x_scaler.transform(s1d.x), 1e-3, z_scaler.transform(s1d.z), s1d.y,
+               z_scaler.transform(s2d.z), s2d.y, np.logspace(-7, 0, 10), KernelSpec([1.0]),
+               x_scaler)
+    assert failures == []
+    assert np.all(np.isfinite(fn.predict(np.linspace(0.05, 0.95, 9))))
+
+
 def test_step3_validates_shapes_and_grid():
     rng = np.random.default_rng(22)
     z = rng.normal(size=(10, 1))

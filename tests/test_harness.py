@@ -9,6 +9,7 @@ from mekiv.harness import (
     RESULTS_HEADER,
     ExperimentConfig,
     ResultRow,
+    _worker_count,
     mse_out_of_sample,
     read_results_csv,
     report,
@@ -170,6 +171,19 @@ def test_report_skips_error_rows_and_writes_files(tmp_path):
     long_lines = long_path.read_text().splitlines()
     assert len(long_lines) == 3  # header + two ok rows
     assert summary_path.read_text().count("\n") == 2
+
+
+def test_worker_count_names_the_variable_on_a_non_integer(monkeypatch):
+    monkeypatch.delenv("MEKIV_WORKERS", raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setenv("MEKIV_WORKERS", " 3 ")
+    assert _worker_count() == 3
+    monkeypatch.setenv("MEKIV_WORKERS", "0")
+    assert _worker_count() == 1
+    for bad in ("two", "1.5"):
+        monkeypatch.setenv("MEKIV_WORKERS", bad)
+        with pytest.raises(ValueError, match=f"MEKIV_WORKERS must be an integer, got '{bad}'"):
+            _worker_count()
 
 
 def test_workers_env_parallel_matches_sequential(tmp_path, monkeypatch):

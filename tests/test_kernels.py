@@ -8,7 +8,6 @@ from mekiv.kernels import (
     gram,
     median_heuristic,
     rbf_eval,
-    sample_spectral,
 )
 
 
@@ -92,7 +91,7 @@ def test_median_heuristic_per_dimension():
 def test_spectral_sampler_variance_matches_inverse_lengthscale():
     for ell, lo, hi in ((1.0, 0.97, 1.03), (2.0, 0.25 * 0.97, 0.25 * 1.03)):
         sampler = SpectralSampler(KernelSpec([ell]), np.random.default_rng(3))
-        draws = sample_spectral(sampler, 100_000).ravel()
+        draws = sampler.sample(100_000).ravel()
         assert lo <= draws.var() <= hi
 
 

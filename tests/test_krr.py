@@ -174,6 +174,17 @@ def test_validate_lambda_matches_brute_force_argmin():
     assert best == pytest.approx(grid[int(np.argmin(scores))])
 
 
+def test_chol_factor_spd_follows_the_given_jitter_ladder():
+    singular = np.ones((3, 3))
+    assert np.all(np.isfinite(krr.chol_factor_spd(singular)))
+    with pytest.raises(krr.NumericalError, match="up to 0"):
+        krr.chol_factor_spd(singular, jitters=(0.0,))
+    spd = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(krr.chol_factor_spd(spd), np.linalg.cholesky(spd))
+    jittered = krr.chol_factor_spd(spd, jitters=krr.JITTERS[1:])
+    assert np.allclose(jittered @ jittered.T, spd + 1e-10 * 1.5 * np.eye(2), rtol=0, atol=1e-15)
+
+
 def test_validate_lambda_raises_when_no_score_is_finite():
     rng = np.random.default_rng(9)
     z = rng.normal(size=20)
