@@ -65,7 +65,6 @@ from .kernels import (
     rbf_eval,
 )
 from .krr import (
-    CmeEmbedding,
     CmeSolver,
     NumericalError,
     default_lambda_grid,

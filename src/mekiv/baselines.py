@@ -47,8 +47,6 @@ def kiv_fit(kind: str, split1, split2, lambda_grid=None, xi_grid=None) -> Struct
     y1 = np.asarray(split1.y, dtype=float).ravel()
     z2 = np.asarray(split2.z, dtype=float)
     y2 = np.asarray(split2.y, dtype=float).ravel()
-    if len(z2) == 0 or len(y2) == 0:
-        raise ValueError("second split is empty")
     require_rows("first split", z=z1, y=y1)
     require_rows("second split", z=z2, y=y2)
     require_finite("first split", z=z1, y=y1)

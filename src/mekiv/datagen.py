@@ -119,7 +119,7 @@ def demand_truth(p, t, s):
     return 100.0 + (10.0 + p) * np.asarray(s, dtype=float) * demand_psi(t) - 2.0 * p
 
 
-def structural_truth(design: str, x, rho: float | None = None):
+def structural_truth(design: str, x):
     """Exact structural function value(s) at treatment point(s) ``x``."""
     pts = np.asarray(x, dtype=float)
     if design == "linear":
@@ -234,7 +234,7 @@ def generate_splits(spec: DesignSpec, n_stage1: int, n_stage2: int):
     return full.split(n_stage1)
 
 
-def moment_checks(ds: Dataset, n_bins: int = 10) -> dict:
+def moment_checks(ds: Dataset) -> dict:
     """Exogeneity diagnostics: measurement-error and instrument moment checks.
 
     Returns absolute sample correlations |corr(dM, dN)|, |corr(dN, x)|,
@@ -245,7 +245,7 @@ def moment_checks(ds: Dataset, n_bins: int = 10) -> dict:
     x = ds.x[:, cd]
     dm = ds.m[:, cd] - x
     dn = ds.n[:, cd] - x
-    eps = ds.y - structural_truth(ds.spec.design, ds.x, ds.spec.rho)
+    eps = ds.y - structural_truth(ds.spec.design, ds.x)
 
     def abscorr(a, b):
         if np.std(a) == 0.0 or np.std(b) == 0.0:
@@ -253,6 +253,7 @@ def moment_checks(ds: Dataset, n_bins: int = 10) -> dict:
         return float(abs(np.corrcoef(a, b)[0, 1]))
 
     zc = ds.z[:, 0]
+    n_bins = 10
     edges = np.quantile(zc, np.linspace(0.0, 1.0, n_bins + 1))
     idx = np.clip(np.searchsorted(edges, zc, side="right") - 1, 0, n_bins - 1)
     bin_means = [abs(float(np.mean(eps[idx == b]))) for b in range(n_bins) if np.any(idx == b)]
@@ -289,14 +290,32 @@ def save_dataset(ds: Dataset, csv_path, json_path=None) -> None:
 
 
 def load_dataset(csv_path, json_path=None) -> Dataset:
+    """Read a ``save_dataset`` CSV. A malformed file raises ``ValueError``
+    naming the file, the line and, for a bad value, the column."""
     csv_path = Path(csv_path)
     json_path = Path(json_path) if json_path else csv_path.with_suffix(".json")
     with open(json_path, encoding="utf-8") as fh:
         spec = DesignSpec(**json.load(fh))
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader])
+        header = next(reader, [])
+        records = list(reader)
+    if "y" not in header:
+        raise ValueError(f"{csv_path}:1: the header has no 'y' column")
+    if not records:
+        raise ValueError(f"{csv_path}: no data rows after the header")
+    rows = np.empty((len(records), len(header)))
+    for i, record in enumerate(records):
+        where = f"{csv_path}:{i + 2}"  # file line; line 1 is the header
+        if len(record) != len(header):
+            raise ValueError(f"{where}: {len(record)} fields, the header has {len(header)}")
+        for j, cell in enumerate(record):
+            try:
+                rows[i, j] = float(cell)
+            except ValueError:
+                rows[i, j] = np.nan
+            if not np.isfinite(rows[i, j]):
+                raise ValueError(f"{where}: column '{header[j]}' is {cell!r}, not a finite number")
 
     def block(name):
         cols = [i for i, h in enumerate(header) if h.startswith(f"{name}_")]

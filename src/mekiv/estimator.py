@@ -30,7 +30,7 @@ from .kernels import (
     gram,
     median_heuristic,
 )
-from .krr import CmeEmbedding, NumericalError
+from .krr import CmeSolver, NumericalError
 
 DEFAULT_XI_GRID = np.logspace(-7.0, 0.0, 10)
 
@@ -40,41 +40,33 @@ XI_SCORE_REL_TOL = 5e-3
 
 @dataclass
 class Stage1Output:
-    """Fitted stage-1 embeddings plus the standardization and kernel context.
+    """Stage-1 ridge systems and the standardized samples the fit reads.
 
-    Both embeddings share the same (standardized) instrument sample and
-    instrument kernel. ``x_scaler`` is the pooled M/N standardizer defining
-    the scale the recovered latents live on.
+    ``solver_n`` and ``solver_mn`` give the gamma weights of the N|Z and
+    (M,N)|Z embeddings, both on the instrument sample ``z``. ``x_scaler`` is
+    the pooled M/N standardizer defining the scale that ``m``, ``n`` and the
+    recovered latents live on.
     """
 
-    embedding_n: CmeEmbedding
-    embedding_mn: CmeEmbedding
+    z: np.ndarray  # (s1, dz) standardized
+    m: np.ndarray  # (s1,) on the pooled scale
+    n: np.ndarray  # (s1,) on the pooled scale
+    solver_n: CmeSolver
+    solver_mn: CmeSolver
     z_scaler: Standardizer
     x_scaler: Standardizer
     kernel_z: KernelSpec
 
     @property
-    def z(self) -> np.ndarray:
-        return self.embedding_n.solver.train_z
-
-    @property
-    def m(self) -> np.ndarray:
-        return self.embedding_mn.output_samples[:, 0]
-
-    @property
-    def n(self) -> np.ndarray:
-        return self.embedding_n.output_samples[:, 0]
-
-    @property
     def lambda_n(self) -> float:
-        return self.embedding_n.solver.lam
+        return self.solver_n.lam
 
     @property
     def lambda_mn(self) -> float:
-        return self.embedding_mn.solver.lam
+        return self.solver_mn.lam
 
 
-def step1(z1, m1, n1, lambda_grid=None, split_fraction: float = 0.5) -> Stage1Output:
+def step1(z1, m1, n1, lambda_grid=None) -> Stage1Output:
     """Fit the N|Z and (M,N)|Z embeddings with validated ridge parameters.
 
     ``m1`` and ``n1`` are the 1-d corrupted treatment coordinates. The joint
@@ -108,16 +100,19 @@ def step1(z1, m1, n1, lambda_grid=None, split_fraction: float = 0.5) -> Stage1Ou
     if lambda_grid is None:
         lambda_grid = krr.default_lambda_grid(s1)
 
-    lam_n = krr.validate_lambda(zs, ns, kernel_z, kernel_n, lambda_grid, split_fraction)
-    emb_n = CmeEmbedding(krr.fit(zs, kernel_z, lam_n), ns, kernel_n)
+    lam_n = krr.validate_lambda(zs, ns, kernel_z, kernel_n, lambda_grid)
+    solver_n = krr.fit(zs, kernel_z, lam_n)
 
     mn = np.column_stack([ms, ns])
-    lam_mn = krr.validate_lambda(zs, mn, kernel_z, kernel_mn, lambda_grid, split_fraction)
-    emb_mn = CmeEmbedding(krr.fit(zs, kernel_z, lam_mn), mn, kernel_mn)
+    lam_mn = krr.validate_lambda(zs, mn, kernel_z, kernel_mn, lambda_grid)
+    solver_mn = krr.fit(zs, kernel_z, lam_mn)
 
     return Stage1Output(
-        embedding_n=emb_n,
-        embedding_mn=emb_mn,
+        z=solver_n.train_z,
+        m=ms,
+        n=ns,
+        solver_n=solver_n,
+        solver_mn=solver_mn,
         z_scaler=z_scaler,
         x_scaler=x_scaler,
         kernel_z=kernel_z,
@@ -208,8 +203,8 @@ def make_training_pairs(
     kernel_x0 = KernelSpec(median_heuristic(x_init))
     alphas = SpectralSampler(kernel_x0, rng).sample(alpha_count).ravel()
 
-    gamma_n = stage1.embedding_n.solver.gamma_matrix(zqs)
-    gamma_mn = stage1.embedding_mn.solver.gamma_matrix(zqs)
+    gamma_n = stage1.solver_n.gamma_matrix(zqs)
+    gamma_mn = stage1.solver_mn.gamma_matrix(zqs)
 
     # w_MN labels on the full grid: phases over the N anchors, M in the numerator.
     labels, degenerate = ratio_grid(alphas, stage1.n, stage1.m, gamma_mn, gamma_n)
@@ -344,16 +339,19 @@ def step2_grad(x, log_lambda_x: float, pairs: TrainingPairs) -> tuple[np.ndarray
     return _Step2Eval(x, log_lambda_x, pairs).gradients()
 
 
+# Fixed step rule of the latent-recovery gradient descent (see optimize_latents).
+GD_INITIAL_STEP = 0.1
+GD_TOL = 1e-6
+GD_PATIENCE = 20
+GD_STEP_GROWTH = 2.0
+GD_MAX_STEP = 100.0
+
+
 @dataclass
 class GdConfig:
-    """Backtracking gradient-descent settings for the latent recovery."""
+    """Proposal budget of the latent recovery; its step rule is the ``GD_*`` constants."""
 
     max_iters: int = 2000
-    initial_step: float = 0.1
-    tol: float = 1e-6
-    patience: int = 20
-    step_growth: float = 2.0
-    max_step: float = 100.0
 
 
 @dataclass
@@ -373,9 +371,9 @@ def optimize_latents(
 
     A proposed step is accepted when it does not increase the loss, otherwise
     the step size halves; accepted steps re-expand it. Stops when the
-    relative improvement over ``patience`` accepted steps falls below
-    ``tol``, the step size underflows, or ``max_iters`` proposals have been
-    made. The loss trace over accepted steps is non-increasing.
+    relative improvement over ``GD_PATIENCE`` accepted steps falls below
+    ``GD_TOL``, the step size underflows, or ``config.max_iters`` proposals
+    have been made. The loss trace over accepted steps is non-increasing.
 
     No proposal is made once the loss is at the rounding floor
     eps * mean(|labels|^2) over the usable pairs: below it the residual is
@@ -397,7 +395,7 @@ def optimize_latents(
     grad_x, grad_ll = ev.gradients()
     trace = [ev.loss]
     last_dropped = ev.dropped
-    step = cfg.initial_step
+    step = GD_INITIAL_STEP
     label_sq = pairs.labels.real**2 + pairs.labels.imag**2
     floor = np.finfo(float).eps * float(np.sum(pairs.weight * label_sq) / pairs.weight.sum())
 
@@ -412,10 +410,10 @@ def optimize_latents(
             grad_x, grad_ll = cand.gradients()
             trace.append(cand.loss)
             last_dropped = cand.dropped
-            step = min(step * cfg.step_growth, cfg.max_step)
-            if len(trace) > cfg.patience:
-                ref = trace[-1 - cfg.patience]
-                if ref - trace[-1] < cfg.tol * max(abs(ref), 1e-30):
+            step = min(step * GD_STEP_GROWTH, GD_MAX_STEP)
+            if len(trace) > GD_PATIENCE:
+                ref = trace[-1 - GD_PATIENCE]
+                if ref - trace[-1] < GD_TOL * max(abs(ref), 1e-30):
                     break
         else:
             step *= 0.5
@@ -568,9 +566,11 @@ def require_finite(split_name: str, **columns: np.ndarray) -> None:
 
 
 def require_rows(split_name: str, **columns: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first column whose row count differs
-    from that of the first column given."""
+    """Raise ``ValueError`` naming the split if its first column given is empty,
+    or naming the first column whose row count differs from that one's."""
     (ref_name, ref), *rest = columns.items()
+    if len(ref) == 0:
+        raise ValueError(f"the {split_name} is empty: column '{ref_name}' has 0 rows")
     for name, arr in rest:
         if len(arr) != len(ref):
             raise ValueError(
@@ -595,10 +595,6 @@ def mekiv_fit(split1, split2, config: MekivConfig | None = None, details: bool =
     y1 = np.asarray(split1.y, dtype=float).ravel()
     z2 = np.asarray(split2.z, dtype=float)
     y2 = np.asarray(split2.y, dtype=float).ravel()
-    if len(z1) == 0 or len(y1) == 0:
-        raise ValueError("first split is empty")
-    if len(z2) == 0 or len(y2) == 0:
-        raise ValueError("second split is empty")
     require_rows("first split", z=z1, m=m1, n=n1, y=y1)
     require_rows("second split", z=z2, y=y2)
     require_finite("first split", z=z1, m=m1, n=n1, y=y1)
@@ -610,27 +606,23 @@ def mekiv_fit(split1, split2, config: MekivConfig | None = None, details: bool =
     pairs = make_training_pairs(stage1, z2, cfg.alpha_count, cfg.pair_cap, rng)
     recovery = optimize_latents(stage1, pairs, cfg.gd)
 
+    # Reassemble the full treatment: recovered coordinate plus the clean
+    # pass-through coordinates (identical in m and n), each standardized.
     dx = m1.shape[1]
-    if dx == 1:
-        anchors = recovery.x_hat[:, None]
-        x_scaler = stage1.x_scaler
-    else:
-        # Reassemble the full treatment: recovered coordinate plus the clean
-        # pass-through coordinates (identical in m and n), each standardized.
-        mean = np.empty(dx)
-        scale = np.empty(dx)
-        anchors = np.empty((len(m1), dx))
-        mean[cd] = stage1.x_scaler.mean[0]
-        scale[cd] = stage1.x_scaler.scale[0]
-        anchors[:, cd] = recovery.x_hat
-        for d in range(dx):
-            if d == cd:
-                continue
-            col_scaler = Standardizer.fit(m1[:, d])
-            mean[d] = col_scaler.mean[0]
-            scale[d] = col_scaler.scale[0]
-            anchors[:, d] = col_scaler.transform(m1[:, d])
-        x_scaler = Standardizer(mean=mean, scale=scale)
+    mean = np.empty(dx)
+    scale = np.empty(dx)
+    anchors = np.empty((len(m1), dx))
+    mean[cd] = stage1.x_scaler.mean[0]
+    scale[cd] = stage1.x_scaler.scale[0]
+    anchors[:, cd] = recovery.x_hat
+    for d in range(dx):
+        if d == cd:
+            continue
+        col_scaler = Standardizer.fit(m1[:, d])
+        mean[d] = col_scaler.mean[0]
+        scale[d] = col_scaler.scale[0]
+        anchors[:, d] = col_scaler.transform(m1[:, d])
+    x_scaler = Standardizer(mean=mean, scale=scale)
 
     xi_grid = cfg.xi_grid if cfg.xi_grid is not None else DEFAULT_XI_GRID
     fn = step3(

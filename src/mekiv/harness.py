@@ -43,6 +43,9 @@ RESULTS_COLUMNS = (
 )
 RESULTS_HEADER = ",".join(RESULTS_COLUMNS)
 
+# Columns that define one summary group in ``report`` and ``write_report``.
+GROUP_BY = ("design", "method", "merror_kind", "merror_level", "rho")
+
 DEMAND_MSE_DRAWS = 2500
 
 
@@ -297,11 +300,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     return ordered
 
 
-def _group_key(row: ResultRow, keys) -> tuple:
-    return tuple(getattr(row, k) for k in keys)
-
-
-def report(rows, group_by=("design", "method", "merror_kind", "merror_level", "rho")) -> list[dict]:
+def report(rows) -> list[dict]:
     """Per-group median / mean / IQR of log10 MSE over the ok rows."""
     rows = list(rows)
     if not rows:
@@ -310,12 +309,12 @@ def report(rows, group_by=("design", "method", "merror_kind", "merror_level", "r
     for row in rows:
         if row.status != "ok" or row.log10_mse is None:
             continue
-        groups.setdefault(_group_key(row, group_by), []).append(row.log10_mse)
+        groups.setdefault(tuple(getattr(row, k) for k in GROUP_BY), []).append(row.log10_mse)
     out = []
     for key in sorted(groups, key=lambda k: tuple(str(v) for v in k)):
         vals = np.asarray(groups[key])
         q25, q75 = np.percentile(vals, [25.0, 75.0])
-        rec = dict(zip(group_by, key))
+        rec = dict(zip(GROUP_BY, key))
         rec.update(
             n=len(vals),
             median_log10_mse=float(np.median(vals)),
@@ -326,28 +325,28 @@ def report(rows, group_by=("design", "method", "merror_kind", "merror_level", "r
     return out
 
 
-def write_report(rows, out_dir, group_by=("design", "method", "merror_kind", "merror_level", "rho")):
+def write_report(rows, out_dir):
     """Emit summary.csv (aggregates) and long.csv (one row per seed, plot-ready)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = report(rows, group_by)
+    summary = report(rows)
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = list(group_by) + ["n", "median_log10_mse", "mean_log10_mse", "iqr_log10_mse"]
+        header = list(GROUP_BY) + ["n", "median_log10_mse", "mean_log10_mse", "iqr_log10_mse"]
         writer.writerow(header)
         for rec in summary:
             writer.writerow(["" if rec[h] is None else rec[h] for h in header])
     long_path = out_dir / "long.csv"
     with open(long_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = list(group_by) + ["seed", "mse", "log10_mse"]
+        header = list(GROUP_BY) + ["seed", "mse", "log10_mse"]
         writer.writerow(header)
         for row in rows:
             if row.status != "ok":
                 continue
             writer.writerow(
-                ["" if getattr(row, h) is None else getattr(row, h) for h in group_by]
+                ["" if getattr(row, h) is None else getattr(row, h) for h in GROUP_BY]
                 + [row.seed, repr(row.mse), repr(row.log10_mse)]
             )
     return summary_path, long_path

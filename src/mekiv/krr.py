@@ -22,6 +22,9 @@ from .kernels import KernelSpec, as_points, gram
 # Additive jitter escalation used whenever an SPD factorization fails.
 JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 
+# Share of the samples that ``validate_lambda`` holds out for scoring.
+HOLDOUT_FRACTION = 0.5
+
 # Default ridge grid, expressed on the s*lambda scale (the additive term on
 # the Gram diagonal); divide by the sample size to get absolute lambdas.
 DEFAULT_RIDGE_SCALE = np.logspace(-7.0, 0.0, 10)
@@ -71,10 +74,6 @@ class CmeSolver:
     lam: float
     chol: np.ndarray  # lower factor of K_ZZ + s*lam*I (plus any jitter)
 
-    @property
-    def size(self) -> int:
-        return len(self.train_z)
-
     def gamma_matrix(self, zq) -> np.ndarray:
         """Gamma weights for a batch of queries, shape (s, n_query)."""
         kzq = gram(self.train_z, zq, self.kernel_z)
@@ -98,28 +97,6 @@ def fit(z, kernel_z: KernelSpec, lam: float) -> CmeSolver:
     kzz = gram(zp, zp, kernel_z)
     lower = chol_factor_spd(kzz + len(zp) * lam * np.eye(len(zp)))
     return CmeSolver(train_z=zp, kernel_z=kernel_z, lam=float(lam), chol=lower)
-
-
-@dataclass
-class CmeEmbedding:
-    """Conditional mean embedding: gamma weights paired with output anchors."""
-
-    solver: CmeSolver
-    output_samples: np.ndarray
-    kernel_out: KernelSpec
-
-    def __post_init__(self):
-        self.output_samples = as_points(self.output_samples, self.kernel_out.dimension)
-        if len(self.output_samples) != self.solver.size:
-            raise ValueError("output_samples length must match the solver's sample size")
-
-    def embed_eval(self, z, y) -> float:
-        """sum_j gamma_j(z) k(o_j, y)."""
-        g = self.solver.gamma(z)
-        ky = gram(self.output_samples, y, self.kernel_out)
-        if ky.shape[1] != 1:
-            raise ValueError("embed_eval expects a single evaluation point")
-        return float(g @ ky[:, 0])
 
 
 def _holdout_scores(z_tr, z_val, o_tr, o_val, kernel_z, kernel_out, grid):
@@ -146,29 +123,24 @@ def validate_lambda(
     kernel_z: KernelSpec,
     kernel_out: KernelSpec,
     grid,
-    split_fraction: float = 0.5,
 ) -> float:
     """Pick the ridge parameter from ``grid`` on a single deterministic holdout.
 
-    The leading (1 - split_fraction) share of the samples trains the solver,
-    the rest scores it. Ties break toward the larger lambda. Raises
+    The leading (1 - HOLDOUT_FRACTION) share of the samples trains the
+    solver, the rest scores it. Ties break toward the larger lambda. Raises
     ``NumericalError`` when no grid value gets a finite score.
     """
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
-    if not 0.0 < split_fraction < 1.0:
-        raise ValueError(f"split_fraction must be in (0, 1), got {split_fraction}")
     zp = as_points(z, kernel_z.dimension)
     op = as_points(outputs, kernel_out.dimension)
     if len(zp) != len(op):
         raise ValueError("z and outputs must have equal lengths")
     if len(zp) < 4:
         raise ValueError(f"need at least 4 samples to validate, got {len(zp)}")
-    n_val = int(round(len(zp) * split_fraction))
+    n_val = int(round(len(zp) * HOLDOUT_FRACTION))
     n_tr = len(zp) - n_val
-    if n_tr < 1 or n_val < 1:
-        raise ValueError("degenerate split: empty train or validation part")
 
     order = np.argsort(grid, kind="stable")
     scores = _holdout_scores(

@@ -51,8 +51,8 @@ def test_c1_kotlarski_identity_recovery(kotlarski_stage1):
     ell = median_heuristic(0.5 * (stage1.m + stage1.n))[0]
     z_checks = np.linspace(-3.0, 3.0, 5)
     zq_std = stage1.z_scaler.transform(z_checks[:, None])
-    gamma_n = stage1.embedding_n.solver.gamma_matrix(zq_std)
-    gamma_mn = stage1.embedding_mn.solver.gamma_matrix(zq_std)
+    gamma_n = stage1.solver_n.gamma_matrix(zq_std)
+    gamma_mn = stage1.solver_mn.gamma_matrix(zq_std)
     mean, scale = stage1.x_scaler.mean[0], stage1.x_scaler.scale[0]
     sigma_sq = 1.0 / scale**2  # conditional variance of X on the pooled scale
     worst = 0.0
@@ -281,7 +281,7 @@ def test_c9_cf_normalization_at_zero(kotlarski_stage1):
     start = time.perf_counter()
     z, x, m, n, stage1 = kotlarski_stage1
     z_checks = np.linspace(-3.0, 3.0, 10)
-    gammas = stage1.embedding_n.solver.gamma_matrix(
+    gammas = stage1.solver_n.gamma_matrix(
         stage1.z_scaler.transform(z_checks[:, None])
     )
     worst = float(np.abs(gammas.sum(axis=0) - 1.0).max())

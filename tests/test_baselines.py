@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,20 @@ def test_missing_columns_rejected():
         kiv_fit("oracle", stub, s2d)
     with pytest.raises(ValueError):
         kiv_fit("mn-average", stub, s2d)
+
+
+@pytest.mark.parametrize("kind", BASELINE_KINDS)
+def test_empty_splits_rejected_at_entry(kind):
+    spec = DesignSpec(design="linear", sample_size=100, seed=4)
+    s1d, s2d = generate_splits(spec, 60, 40)
+
+    def empty(ds):
+        return dataclasses.replace(ds, z=ds.z[:0], x=ds.x[:0], m=ds.m[:0], n=ds.n[:0], y=ds.y[:0])
+
+    with pytest.raises(ValueError, match="the first split is empty"):
+        kiv_fit(kind, empty(s1d), s2d)
+    with pytest.raises(ValueError, match="the second split is empty"):
+        kiv_fit(kind, s1d, empty(s2d))
 
 
 def test_zero_noise_m_as_x_equals_oracle_bitwise():

@@ -164,6 +164,42 @@ def test_csv_round_trip_and_format(tmp_path):
         assert np.array_equal(getattr(loaded, name), getattr(ds, name))
 
 
+def _edit_line(index, edit):
+    return lambda lines: lines[:index] + [edit(lines[index])] + lines[index + 1 :]
+
+
+# Edits of a saved 5-column ``linear`` CSV (line 1 is the header) and the error they raise.
+MALFORMED_CSV = {
+    "ragged-row": (
+        _edit_line(2, lambda line: line + ",0.5"),
+        r"linear\.csv:3: 6 fields, the header has 5",
+    ),
+    "empty-cell": (
+        _edit_line(3, lambda line: "," + line.split(",", 1)[1]),
+        r"linear\.csv:4: column 'z_0' is '', not a finite number",
+    ),
+    "no-y-column": (
+        _edit_line(0, lambda line: line.replace(",y", ",w")),
+        r"linear\.csv:1: the header has no 'y' column",
+    ),
+    "header-only": (lambda lines: lines[:1], r"linear\.csv: no data rows"),
+    "nan": (
+        _edit_line(5, lambda line: line.rsplit(",", 1)[0] + ",nan"),
+        r"linear\.csv:6: column 'y' is 'nan', not a finite number",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_CSV.values(), ids=MALFORMED_CSV.keys())
+def test_load_dataset_names_the_file_and_the_bad_line_or_column(tmp_path, edit, message):
+    csv_path = tmp_path / "linear.csv"
+    save_dataset(generate(DesignSpec(design="linear", sample_size=5, seed=13)), csv_path)
+    lines = edit(csv_path.read_text().splitlines())
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_dataset(csv_path)
+
+
 def test_split_bounds():
     ds = generate(DesignSpec(design="linear", sample_size=10, seed=12))
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from mekiv.estimator import (
     step2_loss,
     step3,
 )
-from mekiv.kernels import KernelSpec, Standardizer, gram
+from mekiv.kernels import KernelSpec, Standardizer, gram, median_heuristic
 from mekiv.krr import NumericalError
 
 
@@ -64,14 +64,18 @@ def test_step1_preconditions():
 
 def test_step1_fits_shared_instrument_sample():
     _, _, _, _, stage1 = _kotlarski_stage1(seed=1, s1=60)
-    assert stage1.embedding_n.solver.size == 60
-    assert stage1.embedding_mn.solver.size == 60
-    assert np.array_equal(stage1.embedding_n.solver.train_z, stage1.embedding_mn.solver.train_z)
-    assert stage1.embedding_n.solver.kernel_z is stage1.embedding_mn.solver.kernel_z
-    assert stage1.embedding_mn.kernel_out.dimension == 2
+    assert len(stage1.solver_n.train_z) == 60
+    assert len(stage1.solver_mn.train_z) == 60
+    assert np.array_equal(stage1.solver_n.train_z, stage1.solver_mn.train_z)
+    assert stage1.solver_n.kernel_z is stage1.solver_mn.kernel_z
+    assert stage1.z is stage1.solver_n.train_z
     grid = krr.default_lambda_grid(60)
     assert stage1.lambda_n in grid
     assert stage1.lambda_mn in grid
+    # the joint ridge is validated on the 2-d (M, N) outputs with the product kernel
+    kernel_mn = KernelSpec(np.concatenate([median_heuristic(stage1.m), median_heuristic(stage1.n)]))
+    mn = np.column_stack([stage1.m, stage1.n])
+    assert krr.validate_lambda(stage1.z, mn, stage1.kernel_z, kernel_mn, grid) == stage1.lambda_mn
 
 
 def test_step1_pooled_standardization_preserves_error_structure():
@@ -111,8 +115,6 @@ def test_labels_match_kotlarski_identity_at_scale():
     z_check = np.array([-1.0, 0.0, 1.0])
     pairs = make_training_pairs(stage1, z_check, alpha_count=12, pair_cap=None,
                                 rng=np.random.default_rng(6))
-    from mekiv.kernels import median_heuristic
-
     band = 1.0 / median_heuristic(0.5 * (stage1.m + stage1.n))[0]
     scale = stage1.x_scaler.scale[0]
     mean = stage1.x_scaler.mean[0]
@@ -447,8 +449,10 @@ def test_mekiv_fit_rejects_empty_splits():
     s1d, s2d = generate_splits(spec, 60, 40)
     empty = type("S", (), {"z": np.empty((0, 1)), "m": np.empty((0, 1)),
                            "n": np.empty((0, 1)), "y": np.empty(0)})()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the second split is empty"):
         mekiv_fit(s1d, empty)
+    with pytest.raises(ValueError, match="the first split is empty"):
+        mekiv_fit(empty, s2d)
 
 
 def test_mekiv_fit_rejects_non_finite_columns_at_entry():

@@ -125,6 +125,16 @@ def test_config_json_round_trip(tmp_path):
     assert loaded.lambda_grid == [1e-6, 1e-3, 1.0]
 
 
+def test_config_json_with_a_removed_optimizer_key_fails_at_load(tmp_path):
+    path = tmp_path / "config.json"
+    _tiny_config(tmp_path).to_json(path)
+    raw = json.loads(path.read_text())
+    raw["optimizer"]["tol"] = 1e-3
+    path.write_text(json.dumps(raw))
+    with pytest.raises(TypeError, match="'tol'"):
+        ExperimentConfig.from_json(path)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(designs=[], methods=["mekiv"], seeds=[0])

@@ -80,28 +80,19 @@ def test_fit_rejects_bad_inputs():
 
 
 def test_embedding_single_anchor_and_limits():
+    # the embedding of one output anchor o = 1.3, evaluated at y: gamma(0)' k(o, y)
+    kernel = KernelSpec([1.0])
+
+    def embed(solver, y):
+        return float(solver.gamma([0.0]) @ gram([1.3], [y], kernel)[:, 0])
+
     lam = 0.4
-    solver = krr.fit([0.0], KernelSpec([1.0]), lam)
-    emb = krr.CmeEmbedding(solver, [1.3], KernelSpec([1.0]))
-    expected = gram([1.3], [0.2], emb.kernel_out)[0, 0] / (1.0 + lam)
-    assert emb.embed_eval([0.0], [0.2]) == pytest.approx(expected, rel=1e-12)
+    solver = krr.fit([0.0], kernel, lam)
+    expected = gram([1.3], [0.2], kernel)[0, 0] / (1.0 + lam)
+    assert embed(solver, 0.2) == pytest.approx(expected, rel=1e-12)
     # far query decays to zero
-    assert abs(emb.embed_eval([0.0], [40.0])) < 1e-12
-    heavy = krr.CmeEmbedding(krr.fit([0.0], KernelSpec([1.0]), 1e12), [1.3], KernelSpec([1.0]))
-    assert abs(heavy.embed_eval([0.0], [1.3])) < 1e-10
-
-
-def test_embedding_matches_gamma_kernel_contraction():
-    rng = np.random.default_rng(4)
-    z = rng.normal(size=(12, 1))
-    out = rng.normal(size=12)
-    spec = KernelSpec([1.0])
-    emb = krr.CmeEmbedding(krr.fit(z, spec, 1e-2), out, spec)
-    g = emb.solver.gamma([0.1])
-    manual = g @ gram(out, [0.7], spec)[:, 0]
-    assert emb.embed_eval([0.1], [0.7]) == pytest.approx(manual, rel=1e-12)
-    # linearity in the weights: scaling gamma scales the value
-    assert (2.0 * g) @ gram(out, [0.7], spec)[:, 0] == pytest.approx(2.0 * manual)
+    assert abs(embed(solver, 40.0)) < 1e-12
+    assert abs(embed(krr.fit([0.0], kernel, 1e12), 1.3)) < 1e-10
 
 
 def _brute_force_scores(z, out, kernel_z, kernel_out, grid, split_fraction=0.5):
@@ -159,8 +150,6 @@ def test_validate_lambda_single_grid_and_errors():
         krr.validate_lambda(z, out, kernel, kernel, [])
     with pytest.raises(ValueError):
         krr.validate_lambda(z[:3], out[:3], kernel, kernel, [0.1])
-    with pytest.raises(ValueError):
-        krr.validate_lambda(z, out, kernel, kernel, [0.1], split_fraction=1.5)
 
 
 def test_validate_lambda_matches_brute_force_argmin():
