@@ -11,7 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import krr
-from .estimator import DEFAULT_XI_GRID, StructuralFn, require_finite, require_rows, step3
+from .estimator import (
+    DEFAULT_XI_GRID,
+    StructuralFn,
+    require_finite,
+    require_rows,
+    require_same_columns,
+    step3,
+)
 from .kernels import KernelSpec, Standardizer, median_heuristic
 
 BASELINE_KINDS = ("oracle", "m-as-x", "mn-average")
@@ -51,6 +58,7 @@ def kiv_fit(kind: str, split1, split2, lambda_grid=None, xi_grid=None) -> Struct
     require_rows("second split", z=z2, y=y2)
     require_finite("first split", z=z1, y=y1)
     require_finite("second split", z=z2, y=y2)
+    require_same_columns("z", z1, z2)
 
     z_scaler = Standardizer.fit(z1)
     z1s = z_scaler.transform(z1)

@@ -163,12 +163,13 @@ def instrument_eigensystem(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of K_ZZ up to its numerical rank, and B = U' K_{Z, z_grid}.
 
-    Keeps the r eigenpairs with e_k > e_max * s1 * eps, the tolerance
-    ``np.linalg.matrix_rank`` uses by default, and returns (eigvals (r,),
-    U (s1, r), B (r, J)). U is a column view of the full ``eigh`` output, so
-    at full rank every array is the one ``eigh`` and the plain product give.
+    Keeps the r eigenpairs of ``krr.gram_eigh`` with e_k > e_max * s1 * eps,
+    the tolerance ``np.linalg.matrix_rank`` uses by default, and returns
+    (eigvals (r,), U (s1, r), B (r, J)). U is a column view of the full
+    ``eigh`` output, so at full rank every array is the one ``eigh`` and the
+    plain product give.
     """
-    eigvals, eig_u = np.linalg.eigh(gram(z, z, kernel_z))
+    eigvals, eig_u = krr.gram_eigh(z, kernel_z)
     s1 = eigvals.size
     rank = int(np.count_nonzero(eigvals > eigvals[-1] * s1 * np.finfo(float).eps))
     eigvals, eig_u = eigvals[s1 - rank :], eig_u[:, s1 - rank :]
@@ -469,6 +470,14 @@ def step3(
     reversed-role validation: beta is fit on the stage-2 sample and scored by
     predicting the held-out stage-1 outcomes through the embedding. Near-ties
     resolve toward the larger xi (more regularization).
+
+    The stage-1 weights of ``z2s`` are Gamma = U C on the rank-cut eigensystem
+    (e, U, B) of K_ZZ (``instrument_eigensystem``), with
+    C = diag(1/(e + s1*lambda_x)) B. The kernel-IV normal equations
+    (v v' + s2*xi*k_xx) beta = v y with v = k_xx U C are then solved by
+    beta = U t, where (M Q + s2*xi*I_r) t = C y, M = C C' and Q = U' k_xx U.
+    The validation predictions are U diag(e/(e + s1*lambda_x)) Q t. Every xi
+    costs one r x r solve; no xi needs a factorization of an s1 x s1 matrix.
     """
     xi_grid = np.asarray(xi_grid, dtype=float).ravel()
     if xi_grid.size == 0:
@@ -490,23 +499,24 @@ def step3(
 
     kernel_x = KernelSpec(median_heuristic(x_hat))
     k_xx = gram(x_hat, x_hat, kernel_x)
-    solver = krr.fit(z1s, kernel_z, lambda_x)
-    v = k_xx @ solver.gamma_matrix(z2s)  # (s1, s2)
-    v1 = k_xx @ solver.gamma_matrix(z1s)  # (s1, s1) for validation predictions
+    eigvals, eig_u, b_matrix = instrument_eigensystem(z1s, z2s, kernel_z)
+    shrink = eigvals + s1 * lambda_x
+    c = b_matrix / shrink[:, None]  # (r, s2): stage-1 weights of z2s are U C
+    q = eig_u.T @ k_xx @ eig_u  # (r, r)
+    fit_scale = eigvals / shrink  # stage-1 weights of z1s are U diag(fit_scale) U'
 
     y_scaler = Standardizer.fit(y2)
     y2s = y_scaler.transform(y2)
     y1s = y_scaler.transform(y1)
 
-    vy = v @ y2s
-    vvt = v @ v.T
+    cy = c @ y2s
+    mq = (c @ c.T) @ q
+    eye = np.eye(len(eigvals))
     fits = []
     for xi in np.sort(xi_grid):
-        # = k_xx (Gamma Gamma' k_xx + s2*xi*I): singular with k_xx, so no jitter-0 try
-        lower = krr.chol_factor_spd(vvt + s2 * xi * k_xx, krr.JITTERS[1:])
-        beta = krr.chol_solve(lower, vy)
-        score = float(np.mean((y1s - v1.T @ beta) ** 2))
-        fits.append((float(xi), score, beta))
+        t = np.linalg.solve(mq + s2 * xi * eye, cy)
+        score = float(np.mean((y1s - eig_u @ (fit_scale * (q @ t))) ** 2))
+        fits.append((float(xi), score, eig_u @ t))
 
     # Prefer the largest xi whose score is a near-tie (within 0.5% relative)
     # with the best: the score curve is flat at the under-regularized end,
@@ -579,6 +589,16 @@ def require_rows(split_name: str, **columns: np.ndarray) -> None:
             )
 
 
+def require_same_columns(name: str, first: np.ndarray, second: np.ndarray) -> None:
+    """Raise ``ValueError`` if column ``name`` has another width in the second split."""
+    got, want = _columns(second).shape[1], _columns(first).shape[1]
+    if got != want:
+        raise ValueError(
+            f"column '{name}' of the second split has {got} column(s), "
+            f"but the first split's has {want}"
+        )
+
+
 def mekiv_fit(split1, split2, config: MekivConfig | None = None, details: bool = False):
     """Fit the full estimator from two disjoint data splits.
 
@@ -599,6 +619,7 @@ def mekiv_fit(split1, split2, config: MekivConfig | None = None, details: bool =
     require_rows("second split", z=z2, y=y2)
     require_finite("first split", z=z1, m=m1, n=n1, y=y1)
     require_finite("second split", z=z2, y=y2)
+    require_same_columns("z", z1, z2)
     cd = int(getattr(split1, "corrupted_dim", 0))
 
     stage1 = step1(z1, m1[:, cd], n1[:, cd], cfg.lambda_grid)

@@ -8,6 +8,11 @@ any query z to the weight vector
 so that sum_j gamma_j(z) k(o_j, .) estimates the conditional mean embedding of
 the law of the outputs o given z. ``validate_lambda`` picks the ridge
 parameter on a single holdout split using the kernel-trick embedding loss.
+It scores the whole grid on one eigensystem K_ZZ = U diag(e) U' of the
+training half (``gram_eigh``): there gamma = U diag(1/(e + s*lam)) U' K_Zz,
+so each grid value is a diagonal rescale and no value needs a factorization
+of its own. Step 3 of the estimator sweeps its stage-2 ridge on the same
+eigensystem of its instrument Gram, cut to the numerical rank.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ def default_lambda_grid(s: int) -> np.ndarray:
     return DEFAULT_RIDGE_SCALE / float(s)
 
 
-def chol_factor_spd(mat: np.ndarray, jitters=JITTERS) -> np.ndarray:
+def chol_factor_spd(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric PSD matrix with jitter escalation.
 
-    ``jitters`` is the ladder tried in order. Jitter is relative to the mean
+    The ``JITTERS`` ladder is tried in order. Jitter is relative to the mean
     diagonal so the ladder works for systems far from unit scale.
     """
     if not np.all(np.isfinite(mat)):
@@ -50,15 +55,25 @@ def chol_factor_spd(mat: np.ndarray, jitters=JITTERS) -> np.ndarray:
         )
     eye = np.eye(len(mat))
     scale = float(np.mean(np.diag(mat))) or 1.0
-    for jit in jitters:
+    for jit in JITTERS:
         try:
             return scipy.linalg.cholesky(mat + jit * scale * eye if jit else mat, lower=True)
         except scipy.linalg.LinAlgError:
             continue
     raise NumericalError(
-        f"Cholesky failed after jitter escalation up to {jitters[-1]:g} "
+        f"Cholesky failed after jitter escalation up to {JITTERS[-1]:g} "
         f"(matrix size {len(mat)})"
     )
+
+
+def gram_eigh(z, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigensystem (e ascending (s,), U (s, s)) of the Gram matrix of ``z``."""
+    kzz = gram(z, z, kernel)
+    if not np.all(np.isfinite(kzz)):
+        raise NumericalError(
+            "matrix has non-finite entries; kernel inputs are likely corrupt"
+        )
+    return np.linalg.eigh(kzz)
 
 
 def chol_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -103,17 +118,28 @@ def _holdout_scores(z_tr, z_val, o_tr, o_val, kernel_z, kernel_out, grid):
     """Kernel-trick embedding loss on the holdout, one score per grid lambda.
 
     Per validation pair: k(o~, o~) - 2 gamma' K_{o,o~} + gamma' K_{oo} gamma,
-    summed over the holdout; k(o~, o~) = 1 for the RBF family.
+    summed over the holdout; k(o~, o~) = 1 for the RBF family. On the
+    eigensystem K_ZZ = U diag(e) U' of the training half, gamma = U diag(d) B
+    with B = U' K_{Z,z~} and d = 1 / (e + n_tr * lam). With P = U' K_{o,o~}
+    and O = U' K_{oo} U the summed loss is
+
+        n_val - 2 sum_k d_k sum_j B_kj P_kj + d' (O * B B') d,
+
+    so every lambda costs O(n_tr^2) once the three products are formed.
+
+    The eigensystem is not cut to the numerical rank of K_ZZ: the output
+    Gram O is not smooth in that basis, so the rows of B below the rank
+    tolerance (up to ~1e-8, amplified by d up to 1 / (n_tr * lam)) carry up
+    to ~1e-3 of the score at the low end of the default grid.
     """
-    k_tt = gram(o_tr, o_tr, kernel_out)
-    k_tv = gram(o_tr, o_val, kernel_out)
+    eigvals, eig_u = gram_eigh(z_tr, kernel_z)
+    b = eig_u.T @ gram(z_tr, z_val, kernel_z)  # (n_tr, n_val)
+    cross = np.sum(b * (eig_u.T @ gram(o_tr, o_val, kernel_out)), axis=1)
+    quad = (eig_u.T @ gram(o_tr, o_tr, kernel_out) @ eig_u) * (b @ b.T)
     scores = []
     for lam in grid:
-        solver = fit(z_tr, kernel_z, lam)
-        g = solver.gamma_matrix(z_val)  # (n_tr, n_val)
-        cross = np.sum(g * k_tv)
-        quad = np.sum(g * (k_tt @ g))
-        scores.append(float(len(o_val) - 2.0 * cross + quad))
+        d = 1.0 / (eigvals + len(z_tr) * lam)
+        scores.append(float(len(z_val) - 2.0 * (d @ cross) + d @ quad @ d))
     return scores
 
 
@@ -126,13 +152,17 @@ def validate_lambda(
 ) -> float:
     """Pick the ridge parameter from ``grid`` on a single deterministic holdout.
 
-    The leading (1 - HOLDOUT_FRACTION) share of the samples trains the
-    solver, the rest scores it. Ties break toward the larger lambda. Raises
-    ``NumericalError`` when no grid value gets a finite score.
+    The leading (1 - HOLDOUT_FRACTION) share of the samples is the training
+    half, the rest scores it; all grid values are scored on one eigensystem
+    of the training Gram (see ``_holdout_scores``). Ties break toward the
+    larger lambda. Raises ``NumericalError`` when no grid value gets a finite
+    score.
     """
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
+    if not np.all(grid > 0.0):
+        raise ValueError(f"ridge parameters must be positive, got {grid}")
     zp = as_points(z, kernel_z.dimension)
     op = as_points(outputs, kernel_out.dimension)
     if len(zp) != len(op):

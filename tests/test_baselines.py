@@ -141,3 +141,12 @@ def test_mismatched_rows_rejected_at_entry():
     s2d.y, s1d.n = y2, s1d.n[:-1]
     with pytest.raises(ValueError, match="column 'n' of the first split has 99 row"):
         kiv_fit("mn-average", s1d, s2d)
+
+
+def test_another_instrument_width_rejected_at_entry():
+    spec = DesignSpec(design="linear", sample_size=200, seed=7)
+    s1d, s2d = generate_splits(spec, 100, 100)
+    s2d.z = np.column_stack([s2d.z, s2d.z])
+    for kind in BASELINE_KINDS:
+        with pytest.raises(ValueError, match="column 'z' of the second split has 2 column"):
+            kiv_fit(kind, s1d, s2d)

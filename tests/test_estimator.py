@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mekiv import krr
+from mekiv import estimator, krr
 from mekiv.datagen import DesignSpec, generate_splits
 from mekiv.estimator import (
+    DEFAULT_XI_GRID,
+    XI_SCORE_REL_TOL,
     GdConfig,
     MekivConfig,
     Stage1Output,
@@ -417,6 +419,60 @@ def test_step3_makes_no_failing_cholesky_attempt(monkeypatch):
     assert np.all(np.isfinite(fn.predict(np.linspace(0.05, 0.95, 9))))
 
 
+def _jittered_step3_reference(x_hat, lambda_x, z1s, y1, z2s, y2, xi_grid, kernel_z):
+    # the s1 x s1 path step 3 replaced: Cholesky stage-1 weights, then one
+    # Cholesky of v v' + s2*xi*k_xx per xi with a 1e-10 jitter
+    s1, s2 = len(z1s), len(z2s)
+    kernel_x = KernelSpec(median_heuristic(x_hat))
+    k_xx = gram(x_hat, x_hat, kernel_x)
+    solver = krr.fit(z1s, kernel_z, lambda_x)
+    v = k_xx @ solver.gamma_matrix(z2s)
+    v1 = k_xx @ solver.gamma_matrix(z1s)
+    y_scaler = Standardizer.fit(y2)
+    y2s, y1s = y_scaler.transform(y2), y_scaler.transform(y1)
+    fits = []
+    for xi in np.sort(xi_grid):
+        mat = v @ v.T + s2 * xi * k_xx
+        lower = np.linalg.cholesky(mat + 1e-10 * np.mean(np.diag(mat)) * np.eye(s1))
+        beta = krr.chol_solve(lower, v @ y2s)
+        fits.append((float(xi), float(np.mean((y1s - v1.T @ beta) ** 2)), beta))
+    best = min(score for _, score, _ in fits)
+    xi, _, beta = max((f for f in fits if f[1] <= best * (1.0 + XI_SCORE_REL_TOL)), key=lambda f: f[0])
+    return xi, beta, kernel_x, y_scaler
+
+
+def _linear_step3_inputs(seed=26, n=300):
+    spec = DesignSpec(design="linear", merror_level=1.0, sample_size=2 * n, seed=seed)
+    s1d, s2d = generate_splits(spec, n, n)
+    z_scaler = Standardizer.fit(s1d.z)
+    x_scaler = Standardizer.fit(s1d.m)
+    z1s, z2s = z_scaler.transform(s1d.z), z_scaler.transform(s2d.z)
+    x1s = x_scaler.transform(s1d.m)
+    kernel_z = KernelSpec(median_heuristic(z1s))
+    kernel_x = KernelSpec(median_heuristic(x1s))
+    lam = krr.validate_lambda(z1s, x1s, kernel_z, kernel_x, krr.default_lambda_grid(n))
+    return (x1s, lam, z1s, s1d.y, z2s, s2d.y, DEFAULT_XI_GRID, kernel_z), x_scaler
+
+
+def test_step3_matches_the_jittered_cholesky_reference():
+    args, x_scaler = _linear_step3_inputs()
+    fn = step3(*args, x_scaler)
+    xi, beta, kernel_x, y_scaler = _jittered_step3_reference(*args)
+    ref = StructuralFn(args[0], beta, kernel_x, x_scaler, y_scaler, args[1], xi)
+    assert fn.xi == xi
+    grid = np.linspace(0.05, 0.95, 50)
+    expected = ref.predict(grid)
+    assert np.max(np.abs(fn.predict(grid) - expected)) <= 1e-6 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("grid_size", [3, 10])
+def test_step3_makes_one_eigendecomposition_and_no_cholesky(decompositions, grid_size):
+    args, x_scaler = _linear_step3_inputs(n=100)
+    decompositions.update(cholesky=0, eigh=0)  # validate_lambda ran while building the inputs
+    step3(*args[:6], np.logspace(-7, 0, grid_size), args[7], x_scaler)
+    assert decompositions == {"cholesky": 0, "eigh": 1}
+
+
 def test_step3_validates_shapes_and_grid():
     rng = np.random.default_rng(22)
     z = rng.normal(size=(10, 1))
@@ -479,6 +535,19 @@ def test_mekiv_fit_rejects_mismatched_rows_at_entry():
         mekiv_fit(s1d, s2d)
     s2d.y, s1d.n = y2, s1d.n[:-1]
     with pytest.raises(ValueError, match="column 'n' of the first split has 99 row"):
+        mekiv_fit(s1d, s2d)
+
+
+def test_mekiv_fit_rejects_another_instrument_width_at_entry(monkeypatch):
+    spec = DesignSpec(design="linear", sample_size=200, seed=5)
+    s1d, s2d = generate_splits(spec, 100, 100)
+    s2d.z = np.column_stack([s2d.z, s2d.z])
+
+    def no_step1(*args, **kwargs):
+        raise AssertionError("step 1 ran before the column check")
+
+    monkeypatch.setattr(estimator, "step1", no_step1)
+    with pytest.raises(ValueError, match="column 'z' of the second split has 2 column"):
         mekiv_fit(s1d, s2d)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mekiv import krr
-from mekiv.kernels import KernelSpec, gram
+from mekiv.kernels import KernelSpec, gram, median_heuristic
 
 
 def test_fit_single_point_closed_form():
@@ -166,12 +166,14 @@ def test_validate_lambda_matches_brute_force_argmin():
 def test_chol_factor_spd_follows_the_given_jitter_ladder():
     singular = np.ones((3, 3))
     assert np.all(np.isfinite(krr.chol_factor_spd(singular)))
-    with pytest.raises(krr.NumericalError, match="up to 0"):
-        krr.chol_factor_spd(singular, jitters=(0.0,))
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1: no jitter on the ladder helps
+    with pytest.raises(krr.NumericalError, match="up to 1e-06"):
+        krr.chol_factor_spd(indefinite)
     spd = np.array([[2.0, 0.5], [0.5, 1.0]])
     assert np.array_equal(krr.chol_factor_spd(spd), np.linalg.cholesky(spd))
-    jittered = krr.chol_factor_spd(spd, jitters=krr.JITTERS[1:])
-    assert np.allclose(jittered @ jittered.T, spd + 1e-10 * 1.5 * np.eye(2), rtol=0, atol=1e-15)
+    # the unjittered try fails on a singular matrix; the ladder's next step, 1e-10, succeeds
+    jittered = krr.chol_factor_spd(np.ones((2, 2)))
+    assert np.allclose(jittered @ jittered.T, np.ones((2, 2)) + 1e-10 * np.eye(2), rtol=0, atol=1e-15)
 
 
 def test_validate_lambda_raises_when_no_score_is_finite():
@@ -182,3 +184,54 @@ def test_validate_lambda_raises_when_no_score_is_finite():
     kernel = KernelSpec([1.0])
     with pytest.raises(krr.NumericalError, match="no finite holdout score"):
         krr.validate_lambda(z, out, kernel, kernel, np.logspace(-5, 0, 4) / len(z))
+
+
+def _cholesky_holdout_scores(z_tr, z_val, o_tr, o_val, kernel_z, kernel_out, grid):
+    # the per-lambda path the eigensystem replaced: one Cholesky solve per grid value
+    k_tt = gram(o_tr, o_tr, kernel_out)
+    k_tv = gram(o_tr, o_val, kernel_out)
+    scores = []
+    for lam in grid:
+        g = krr.fit(z_tr, kernel_z, lam).gamma_matrix(z_val)
+        scores.append(float(len(o_val) - 2.0 * np.sum(g * k_tv) + np.sum(g * (k_tt @ g))))
+    return np.array(scores)
+
+
+def _lowest_score_lambda(grid, scores):
+    # validate_lambda's rule: ascending grid, ties toward the larger lambda
+    order = np.argsort(grid, kind="stable")
+    best = min(range(len(order)), key=lambda i: (scores[order[i]], -i))
+    return grid[order[best]]
+
+
+@pytest.mark.parametrize("dz, seed", [(1, 0), (1, 1), (1, 2), (3, 0), (3, 1)])
+def test_holdout_scores_match_the_cholesky_reference(dz, seed):
+    # Both paths are backward stable, so they can differ by the ridge system's
+    # condition number times eps; past that the bound is 1e-8 relative. The
+    # 3-d instrument gives a K_ZZ of full numerical rank, the 1-d one does not.
+    rng = np.random.default_rng(seed)
+    n, n_tr = 200, 100
+    z = rng.normal(size=(n, dz))
+    out = np.column_stack([z.sum(axis=1) + rng.normal(size=n), np.sin(z[:, 0]) + 0.5 * rng.normal(size=n)])
+    kernel_z = KernelSpec(median_heuristic(z))
+    kernel_out = KernelSpec(median_heuristic(out))
+    grid = krr.default_lambda_grid(n)
+    parts = (z[:n_tr], z[n_tr:], out[:n_tr], out[n_tr:], kernel_z, kernel_out, grid)
+    ref = _cholesky_holdout_scores(*parts)
+    new = np.array(krr._holdout_scores(*parts))
+    eigvals = np.linalg.eigvalsh(gram(z[:n_tr], z[:n_tr], kernel_z))
+    assert (dz == 3) == (eigvals[0] > eigvals[-1] * n_tr * np.finfo(float).eps)
+    cond = (eigvals[-1] + n_tr * grid) / (n_tr * grid)
+    assert np.all(np.abs(new - ref) <= (1e-8 + cond * np.finfo(float).eps) * np.abs(ref))
+    chosen = krr.validate_lambda(z, out, kernel_z, kernel_out, grid)
+    assert chosen == _lowest_score_lambda(grid, ref)
+
+
+@pytest.mark.parametrize("grid_size", [3, 10])
+def test_validate_lambda_makes_one_eigendecomposition_and_no_cholesky(decompositions, grid_size):
+    rng = np.random.default_rng(10)
+    z = rng.normal(size=80)
+    out = np.sin(z) + 0.3 * rng.normal(size=80)
+    kernel = KernelSpec([1.0])
+    krr.validate_lambda(z, out, kernel, kernel, np.logspace(-7, 0, grid_size) / 80)
+    assert decompositions == {"cholesky": 0, "eigh": 1}
