@@ -32,6 +32,7 @@ from .datagen import (
 from .estimator import (
     DEFAULT_XI_GRID,
     GdConfig,
+    Instrument,
     LatentRecovery,
     MekivConfig,
     MekivDetails,
@@ -69,6 +70,7 @@ from .krr import (
     NumericalError,
     default_lambda_grid,
     fit,
+    holdout_basis,
     validate_lambda,
 )
 

@@ -13,7 +13,9 @@ import numpy as np
 from . import krr
 from .estimator import (
     DEFAULT_XI_GRID,
+    Instrument,
     StructuralFn,
+    instrument_for,
     require_finite,
     require_rows,
     require_same_columns,
@@ -43,11 +45,20 @@ def _proxy(kind: str, split, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")
 
 
-def kiv_fit(kind: str, split1, split2, lambda_grid=None, xi_grid=None) -> StructuralFn:
+def kiv_fit(
+    kind: str,
+    split1,
+    split2,
+    lambda_grid=None,
+    xi_grid=None,
+    instrument: Instrument | None = None,
+) -> StructuralFn:
     """Standard two-stage kernel-IV fit with the chosen treatment proxy.
 
     Stage 1 validates the ridge parameter on a holdout of (z, proxy) pairs;
-    stage 2 is shared with the measurement-error estimator.
+    stage 2 is shared with the measurement-error estimator. Both read one
+    ``Instrument`` of the two splits' ``z``: the one passed, which must have
+    been built from them, or one built here.
     """
     z1 = np.asarray(split1.z, dtype=float)
     x1 = _proxy(kind, split1, z1)
@@ -59,18 +70,14 @@ def kiv_fit(kind: str, split1, split2, lambda_grid=None, xi_grid=None) -> Struct
     require_finite("first split", z=z1, y=y1)
     require_finite("second split", z=z2, y=y2)
     require_same_columns("z", z1, z2)
+    instrument = instrument_for(z1, z2, instrument)
 
-    z_scaler = Standardizer.fit(z1)
-    z1s = z_scaler.transform(z1)
-    z2s = z_scaler.transform(z2)
     x_scaler = Standardizer.fit(x1)
     x1s = x_scaler.transform(x1)
-
-    kernel_z = KernelSpec(median_heuristic(z1s))
     kernel_x = KernelSpec(median_heuristic(x1s))
     if lambda_grid is None:
-        lambda_grid = krr.default_lambda_grid(len(z1s))
-    lam = krr.validate_lambda(z1s, x1s, kernel_z, kernel_x, lambda_grid)
+        lambda_grid = krr.default_lambda_grid(len(z1))
+    lam = krr.validate_lambda(instrument.holdout, x1s, kernel_x, lambda_grid)
 
     xi_grid = xi_grid if xi_grid is not None else DEFAULT_XI_GRID
-    return step3(x1s, lam, z1s, y1, z2s, y2, xi_grid, kernel_z, x_scaler)
+    return step3(x1s, lam, instrument, y1, y2, xi_grid, kernel_x, x_scaler)

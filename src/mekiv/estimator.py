@@ -16,6 +16,7 @@ scalers needed to accept raw treatment points and emit raw outcomes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,24 +39,120 @@ DEFAULT_XI_GRID = np.logspace(-7.0, 0.0, 10)
 XI_SCORE_REL_TOL = 5e-3
 
 
+def instrument_eigensystem(
+    z: np.ndarray, z_grid: np.ndarray, kernel_z: KernelSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of K_ZZ up to its numerical rank, and B = U' K_{Z, z_grid}.
+
+    Keeps the r eigenpairs of ``krr.gram_eigh`` with e_k > e_max * s1 * eps,
+    the tolerance ``np.linalg.matrix_rank`` uses by default, and returns
+    (eigvals (r,), U (s1, r), B (r, J)). At full rank every array is the one
+    ``eigh`` and the plain product give; below it U is a contiguous copy of
+    the kept columns, so the full s1 x s1 ``eigh`` output is freed.
+    """
+    eigvals, eig_u = krr.gram_eigh(z, kernel_z)
+    s1 = eigvals.size
+    rank = int(np.count_nonzero(eigvals > eigvals[-1] * s1 * np.finfo(float).eps))
+    eigvals, eig_u = eigvals[s1 - rank :], np.ascontiguousarray(eig_u[:, s1 - rank :])
+    return eigvals, eig_u, eig_u.T @ gram(z, z_grid, kernel_z)
+
+
+class Instrument:
+    """The instrument side of the fits on two splits, computed once.
+
+    Built from the raw instrument samples ``z1`` (first split) and ``z2``
+    (second split), it holds what every fit on those splits reads and none
+    changes:
+
+    - ``z_scaler`` (fitted on ``z1``), the standardized ``z1s`` and ``z2s``,
+      and the median-heuristic ``kernel_z``;
+    - ``holdout``: the ``krr.HoldoutBasis`` of ``z1s`` on which every
+      stage-1 ridge grid is scored (``krr.validate_lambda``);
+    - ``eigvals``, ``eig_u``, ``b_matrix``: the rank-cut eigensystem of K_ZZ
+      on ``z1s`` with B at ``z2s`` (``instrument_eigensystem``), read by
+      steps 2 and 3.
+
+    ``kiv_fit`` and ``mekiv_fit`` build one when none is passed; passing one
+    lets the fits of several methods on the same splits share it. ``z2`` may
+    be left out while only step 1 reads the instrument (``with_z2`` adds it).
+    The constructor runs the fits' entry checks on ``z``.
+    """
+
+    def __init__(self, z1, z2=None):
+        self.z1 = _columns(z1)
+        require_rows("first split", z=self.z1)
+        require_finite("first split", z=self.z1)
+        self.z_scaler = Standardizer.fit(self.z1)
+        self.z1s = self.z_scaler.transform(self.z1)
+        self.kernel_z = KernelSpec(median_heuristic(self.z1s))
+        self.holdout = krr.holdout_basis(self.z1s, self.kernel_z)
+        self.z2 = self.z2s = self.eigvals = self.eig_u = self.b_matrix = None
+        if z2 is not None:
+            self._attach_z2(z2)
+
+    def _attach_z2(self, z2) -> None:
+        z2 = _columns(z2)
+        require_rows("second split", z=z2)
+        require_finite("second split", z=z2)
+        require_same_columns("z", self.z1, z2)
+        self.z2 = z2
+        self.z2s = self.z_scaler.transform(z2)
+        self.eigvals, self.eig_u, self.b_matrix = instrument_eigensystem(
+            self.z1s, self.z2s, self.kernel_z
+        )
+
+    def with_z2(self, z2) -> "Instrument":
+        """This instrument with ``z2`` as its second split: itself when built
+        from ``z2``, else a copy that shares the first-split part."""
+        if np.array_equal(self.z2, _columns(z2)):
+            return self
+        other = copy.copy(self)
+        other._attach_z2(z2)
+        return other
+
+
+def instrument_for(z1, z2=None, instrument: Instrument | None = None) -> Instrument:
+    """``Instrument(z1, z2)`` when ``instrument`` is None, else ``instrument``
+    once checked to be built from ``z1`` (and from ``z2`` when given).
+
+    Raises ``ValueError`` naming the split whose ``z`` it was not built from.
+    """
+    if instrument is None:
+        return Instrument(z1, z2)
+    for split, own, given in (("first", instrument.z1, z1), ("second", instrument.z2, z2)):
+        if given is not None and not np.array_equal(own, _columns(given)):
+            raise ValueError(f"the instrument was not built from the {split} split's 'z'")
+    return instrument
+
+
 @dataclass
 class Stage1Output:
     """Stage-1 ridge systems and the standardized samples the fit reads.
 
     ``solver_n`` and ``solver_mn`` give the gamma weights of the N|Z and
-    (M,N)|Z embeddings, both on the instrument sample ``z``. ``x_scaler`` is
-    the pooled M/N standardizer defining the scale that ``m``, ``n`` and the
-    recovered latents live on.
+    (M,N)|Z embeddings, both on the standardized instrument sample ``z`` of
+    ``instrument``. ``x_scaler`` is the pooled M/N standardizer defining the
+    scale that ``m``, ``n`` and the recovered latents live on.
     """
 
-    z: np.ndarray  # (s1, dz) standardized
     m: np.ndarray  # (s1,) on the pooled scale
     n: np.ndarray  # (s1,) on the pooled scale
     solver_n: CmeSolver
     solver_mn: CmeSolver
-    z_scaler: Standardizer
     x_scaler: Standardizer
-    kernel_z: KernelSpec
+    instrument: Instrument
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.instrument.z1s
+
+    @property
+    def z_scaler(self) -> Standardizer:
+        return self.instrument.z_scaler
+
+    @property
+    def kernel_z(self) -> KernelSpec:
+        return self.instrument.kernel_z
 
     @property
     def lambda_n(self) -> float:
@@ -66,31 +163,29 @@ class Stage1Output:
         return self.solver_mn.lam
 
 
-def step1(z1, m1, n1, lambda_grid=None) -> Stage1Output:
+def step1(z1, m1, n1, lambda_grid=None, instrument: Instrument | None = None) -> Stage1Output:
     """Fit the N|Z and (M,N)|Z embeddings with validated ridge parameters.
 
     ``m1`` and ``n1`` are the 1-d corrupted treatment coordinates. The joint
     embedding uses the product kernel k_M * k_N, i.e. a 2-d RBF whose
     per-dimension lengthscales come from the marginal median heuristics.
+    Both ridges are validated on the holdout basis of ``instrument``, which
+    is built from ``z1`` when not given.
     """
     m1 = np.asarray(m1, dtype=float).ravel()
     n1 = np.asarray(n1, dtype=float).ravel()
-    z1 = np.asarray(z1, dtype=float)
-    if z1.ndim == 1:
-        z1 = z1[:, None]
+    z1 = _columns(z1)
     s1 = len(z1)
     if not (len(m1) == len(n1) == s1):
         raise ValueError("z1, m1, n1 must have equal lengths")
     if s1 < 20:
         raise ValueError(f"stage 1 needs at least 20 samples, got {s1}")
+    instrument = instrument_for(z1, instrument=instrument)
 
-    z_scaler = Standardizer.fit(z1)
-    zs = z_scaler.transform(z1)
     x_scaler = Standardizer.fit(np.concatenate([m1, n1]))
     ms = x_scaler.transform(m1)
     ns = x_scaler.transform(n1)
 
-    kernel_z = KernelSpec(median_heuristic(zs))
     kernel_m = KernelSpec(median_heuristic(ms))
     kernel_n = KernelSpec(median_heuristic(ns))
     kernel_mn = KernelSpec(
@@ -100,22 +195,21 @@ def step1(z1, m1, n1, lambda_grid=None) -> Stage1Output:
     if lambda_grid is None:
         lambda_grid = krr.default_lambda_grid(s1)
 
-    lam_n = krr.validate_lambda(zs, ns, kernel_z, kernel_n, lambda_grid)
+    zs, kernel_z = instrument.z1s, instrument.kernel_z
+    lam_n = krr.validate_lambda(instrument.holdout, ns, kernel_n, lambda_grid)
     solver_n = krr.fit(zs, kernel_z, lam_n)
 
     mn = np.column_stack([ms, ns])
-    lam_mn = krr.validate_lambda(zs, mn, kernel_z, kernel_mn, lambda_grid)
+    lam_mn = krr.validate_lambda(instrument.holdout, mn, kernel_mn, lambda_grid)
     solver_mn = krr.fit(zs, kernel_z, lam_mn)
 
     return Stage1Output(
-        z=solver_n.train_z,
         m=ms,
         n=ns,
         solver_n=solver_n,
         solver_mn=solver_mn,
-        z_scaler=z_scaler,
         x_scaler=x_scaler,
-        kernel_z=kernel_z,
+        instrument=instrument,
     )
 
 
@@ -158,24 +252,6 @@ class TrainingPairs:
         return self.eig_u.shape[0]
 
 
-def instrument_eigensystem(
-    z: np.ndarray, z_grid: np.ndarray, kernel_z: KernelSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of K_ZZ up to its numerical rank, and B = U' K_{Z, z_grid}.
-
-    Keeps the r eigenpairs of ``krr.gram_eigh`` with e_k > e_max * s1 * eps,
-    the tolerance ``np.linalg.matrix_rank`` uses by default, and returns
-    (eigvals (r,), U (s1, r), B (r, J)). U is a column view of the full
-    ``eigh`` output, so at full rank every array is the one ``eigh`` and the
-    plain product give.
-    """
-    eigvals, eig_u = krr.gram_eigh(z, kernel_z)
-    s1 = eigvals.size
-    rank = int(np.count_nonzero(eigvals > eigvals[-1] * s1 * np.finfo(float).eps))
-    eigvals, eig_u = eigvals[s1 - rank :], eig_u[:, s1 - rank :]
-    return eigvals, eig_u, eig_u.T @ gram(z, z_grid, kernel_z)
-
-
 def make_training_pairs(
     stage1: Stage1Output,
     z_check,
@@ -186,8 +262,10 @@ def make_training_pairs(
     """Sample alphas, label the (alpha, z) cross product, and cache solves.
 
     ``z_check`` is raw instrument data (standardized internally with the
-    stage-1 statistics). Alphas come from the spectral measure of the kernel
-    whose bandwidth is the median heuristic of the (M+N)/2 initialization.
+    stage-1 statistics); the eigensystem is that of the stage-1 instrument,
+    extended to ``z_check`` unless it was built from it. Alphas come from the
+    spectral measure of the kernel whose bandwidth is the median heuristic of
+    the (M+N)/2 initialization.
     The cross product is uniformly subsampled to ``pair_cap`` pairs when it
     is larger; pairs whose label denominator is degenerate are dropped with
     the count recorded.
@@ -198,7 +276,8 @@ def make_training_pairs(
     zq = as_points(z_check, stage1.kernel_z.dimension)
     if len(zq) == 0:
         raise ValueError("z_check must be nonempty")
-    zqs = stage1.z_scaler.transform(zq)
+    instrument = stage1.instrument.with_z2(zq)
+    zqs = instrument.z2s
 
     x_init = 0.5 * (stage1.m + stage1.n)
     kernel_x0 = KernelSpec(median_heuristic(x_init))
@@ -224,17 +303,15 @@ def make_training_pairs(
             "stage-1 embeddings are unusable"
         )
 
-    eigvals, eig_u, b_matrix = instrument_eigensystem(stage1.z, zqs, stage1.kernel_z)
-
     return TrainingPairs(
         alphas=alphas,
         z_grid=zqs,
         labels=labels,
         weight=weight,
         dropped_pairs=dropped,
-        eigvals=eigvals,
-        eig_u=eig_u,
-        b_matrix=b_matrix,
+        eigvals=instrument.eigvals,
+        eig_u=instrument.eig_u,
+        b_matrix=instrument.b_matrix,
     )
 
 
@@ -455,24 +532,24 @@ class StructuralFn:
 def step3(
     x_hat,
     lambda_x: float,
-    z1s,
+    instrument: Instrument,
     y1,
-    z2s,
     y2,
     xi_grid,
-    kernel_z: KernelSpec,
+    kernel_x: KernelSpec,
     x_scaler: Standardizer,
 ) -> StructuralFn:
     """Stage-2 kernel-IV regression on (possibly recovered) treatment anchors.
 
-    ``z1s``/``z2s`` are standardized instrument samples, ``x_hat`` the
-    standardized treatment anchors. The stage-2 ridge ``xi`` is selected by
-    reversed-role validation: beta is fit on the stage-2 sample and scored by
-    predicting the held-out stage-1 outcomes through the embedding. Near-ties
-    resolve toward the larger xi (more regularization).
+    ``instrument`` holds the standardized instrument samples z1s and z2s of
+    the two splits, ``x_hat`` the standardized treatment anchors (one per
+    z1s row) and ``kernel_x`` their kernel. The stage-2 ridge ``xi`` is
+    selected by reversed-role validation: beta is fit on the stage-2 sample
+    and scored by predicting the held-out stage-1 outcomes through the
+    embedding. Near-ties resolve toward the larger xi (more regularization).
 
-    The stage-1 weights of ``z2s`` are Gamma = U C on the rank-cut eigensystem
-    (e, U, B) of K_ZZ (``instrument_eigensystem``), with
+    The stage-1 weights of z2s are Gamma = U C on the instrument's rank-cut
+    eigensystem (e, U, B) of K_ZZ (``instrument_eigensystem``), with
     C = diag(1/(e + s1*lambda_x)) B. The kernel-IV normal equations
     (v v' + s2*xi*k_xx) beta = v y with v = k_xx U C are then solved by
     beta = U t, where (M Q + s2*xi*I_r) t = C y, M = C C' and Q = U' k_xx U.
@@ -489,20 +566,20 @@ def step3(
         x_hat = x_hat[:, None]
     y1 = np.asarray(y1, dtype=float).ravel()
     y2 = np.asarray(y2, dtype=float).ravel()
-    z1s = np.asarray(z1s, dtype=float)
-    z2s = np.asarray(z2s, dtype=float)
-    s1, s2 = len(z1s), len(z2s)
+    if instrument.z2s is None:
+        raise ValueError("step 3 needs an instrument built with the second split's 'z'")
+    s1, s2 = len(instrument.z1s), len(instrument.z2s)
     if not (len(x_hat) == s1 == len(y1)):
         raise ValueError("x_hat, z1s, y1 must share the stage-1 length")
-    if len(y2) != s2 or s2 == 0:
+    if len(y2) != s2:
         raise ValueError("z2s and y2 must share a nonzero stage-2 length")
 
-    kernel_x = KernelSpec(median_heuristic(x_hat))
+    eigvals, eig_u = instrument.eigvals, instrument.eig_u
     k_xx = gram(x_hat, x_hat, kernel_x)
-    eigvals, eig_u, b_matrix = instrument_eigensystem(z1s, z2s, kernel_z)
-    shrink = eigvals + s1 * lambda_x
-    c = b_matrix / shrink[:, None]  # (r, s2): stage-1 weights of z2s are U C
     q = eig_u.T @ k_xx @ eig_u  # (r, r)
+    del k_xx  # the s1 x s1 Gram is not needed past Q
+    shrink = eigvals + s1 * lambda_x
+    c = instrument.b_matrix / shrink[:, None]  # (r, s2): stage-1 weights of z2s are U C
     fit_scale = eigvals / shrink  # stage-1 weights of z1s are U diag(fit_scale) U'
 
     y_scaler = Standardizer.fit(y2)
@@ -511,10 +588,12 @@ def step3(
 
     cy = c @ y2s
     mq = (c @ c.T) @ q
-    eye = np.eye(len(eigvals))
+    system = mq.copy()  # M Q with its diagonal shifted by s2 * xi
+    diag = np.arange(len(eigvals))
     fits = []
     for xi in np.sort(xi_grid):
-        t = np.linalg.solve(mq + s2 * xi * eye, cy)
+        system[diag, diag] = mq[diag, diag] + s2 * xi
+        t = np.linalg.solve(system, cy)
         score = float(np.mean((y1s - eig_u @ (fit_scale * (q @ t))) ** 2))
         fits.append((float(xi), score, eig_u @ t))
 
@@ -599,14 +678,21 @@ def require_same_columns(name: str, first: np.ndarray, second: np.ndarray) -> No
         )
 
 
-def mekiv_fit(split1, split2, config: MekivConfig | None = None, details: bool = False):
+def mekiv_fit(
+    split1,
+    split2,
+    config: MekivConfig | None = None,
+    details: bool = False,
+    instrument: Instrument | None = None,
+):
     """Fit the full estimator from two disjoint data splits.
 
     The splits provide attributes ``z``, ``m``, ``n``, ``y`` (stage 1) and
     ``z``, ``y`` (stage 2); multi-dimensional treatments carry a
     ``corrupted_dim`` attribute naming the single noisy coordinate, all other
-    coordinates pass through unchanged. Deterministic under a fixed
-    ``config.seed``.
+    coordinates pass through unchanged. Steps 1-3 read one ``Instrument`` of
+    the two splits' ``z``: the one passed, which must have been built from
+    them, or one built here. Deterministic under a fixed ``config.seed``.
     """
     cfg = config or MekivConfig()
     m1 = _columns(split1.m)
@@ -620,9 +706,10 @@ def mekiv_fit(split1, split2, config: MekivConfig | None = None, details: bool =
     require_finite("first split", z=z1, m=m1, n=n1, y=y1)
     require_finite("second split", z=z2, y=y2)
     require_same_columns("z", z1, z2)
+    instrument = instrument_for(z1, z2, instrument)
     cd = int(getattr(split1, "corrupted_dim", 0))
 
-    stage1 = step1(z1, m1[:, cd], n1[:, cd], cfg.lambda_grid)
+    stage1 = step1(z1, m1[:, cd], n1[:, cd], cfg.lambda_grid, instrument)
     rng = np.random.default_rng([cfg.seed, 101])
     pairs = make_training_pairs(stage1, z2, cfg.alpha_count, cfg.pair_cap, rng)
     recovery = optimize_latents(stage1, pairs, cfg.gd)
@@ -646,17 +733,8 @@ def mekiv_fit(split1, split2, config: MekivConfig | None = None, details: bool =
     x_scaler = Standardizer(mean=mean, scale=scale)
 
     xi_grid = cfg.xi_grid if cfg.xi_grid is not None else DEFAULT_XI_GRID
-    fn = step3(
-        anchors,
-        recovery.lambda_x,
-        stage1.z,
-        y1,
-        stage1.z_scaler.transform(z2),
-        y2,
-        xi_grid,
-        stage1.kernel_z,
-        x_scaler,
-    )
+    kernel_x = KernelSpec(median_heuristic(anchors))
+    fn = step3(anchors, recovery.lambda_x, instrument, y1, y2, xi_grid, kernel_x, x_scaler)
     if details:
         x_hat_raw = stage1.x_scaler.inverse(recovery.x_hat)
         return fn, MekivDetails(stage1, pairs, recovery, x_hat_raw)

@@ -1,10 +1,13 @@
 """Benchmark execution across the method x design x error grid.
 
-Each grid cell generates fresh stage-1/stage-2 splits from its seed, fits one
-method, and scores the out-of-sample MSE against the known structural
-function. Failures never abort the sweep: they become error rows. Rows are
-appended to the results CSV as they complete and the file is rewritten in the
-canonical (design, method, seed) order at the end, so the persisted output is
+The unit of work is one dataset, a (design, seed) pair: it generates the
+stage-1/stage-2 splits once, builds their ``Instrument`` once, fits every
+method on them, releases the instrument, and then scores each fit by its
+out-of-sample MSE against the known structural function. Failures never
+abort the sweep: they become error rows, for one cell or, when the dataset
+itself fails, for all of its cells. Rows are appended to the results CSV as
+datasets complete and the file is rewritten in the canonical
+(design, method, seed) order at the end, so the persisted output is
 deterministic regardless of worker scheduling.
 """
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from .baselines import kiv_fit
 from .datagen import DesignSpec, demand_draw, demand_truth, generate_splits, structural_truth
-from .estimator import GdConfig, MekivConfig, mekiv_fit
+from .estimator import GdConfig, Instrument, MekivConfig, mekiv_fit
 
 METHODS = ("mekiv", "kiv-oracle", "kiv-m", "kiv-mn")
 _BASELINE_KIND = {"kiv-oracle": "oracle", "kiv-m": "m-as-x", "kiv-mn": "mn-average"}
@@ -152,61 +155,94 @@ def mse_out_of_sample(
     return float(np.mean((preds - truth) ** 2))
 
 
-def _run_cell(config: ExperimentConfig, design: DesignSpec, method: str, seed: int) -> ResultRow:
+def _row(
+    design: DesignSpec,
+    method: str,
+    seed: int,
+    seconds: float,
+    mse: float | None = None,
+    dropped: int | None = None,
+    error: Exception | None = None,
+) -> ResultRow:
+    """The results row of one cell: ``ok`` with its ``mse``, or ``error:<Type>``."""
+    return ResultRow(
+        design=design.design,
+        method=method,
+        merror_kind=design.merror_kind,
+        merror_level=design.merror_level,
+        rho=design.rho,
+        seed=seed,
+        mse=mse,
+        log10_mse=None if mse is None else float(np.log10(max(mse, 1e-300))),
+        wall_time_seconds=seconds,
+        dropped_pairs=dropped,
+        status="ok" if error is None else f"error:{type(error).__name__}",
+    )
+
+
+def _run_dataset(config: ExperimentConfig, design: DesignSpec, seed: int) -> list[ResultRow]:
+    """Rows of every configured method on the dataset ``(design, seed)``, in
+    ``config.methods`` order.
+
+    All fits share one ``Instrument``, which is released before the fits are
+    scored. A row's ``wall_time_seconds`` is its own fit plus its own score;
+    the dataset's shared set-up (splits and instrument) is charged to the
+    first method. When the set-up fails, every method gets its error row.
+    """
     start = time.perf_counter()
-    dropped = None
     try:
-        spec = dataclasses.replace(design, seed=seed)
-        split1, split2 = generate_splits(spec, config.n_stage1, config.n_stage2)
-        lam_grid = (
-            np.asarray(config.lambda_grid, dtype=float) / config.n_stage1
-            if config.lambda_grid is not None
-            else None
+        split1, split2 = generate_splits(
+            dataclasses.replace(design, seed=seed), config.n_stage1, config.n_stage2
         )
-        xi_grid = np.asarray(config.xi_grid, dtype=float) if config.xi_grid is not None else None
-        if method == "mekiv":
-            cfg = MekivConfig(
-                alpha_count=config.alpha_count,
-                pair_cap=config.pair_cap,
-                lambda_grid=lam_grid,
-                xi_grid=xi_grid,
-                gd=config.optimizer,
-                seed=seed,
-            )
-            fn, details = mekiv_fit(split1, split2, cfg, details=True)
-            dropped = details.recovery.dropped_pair_count
-        else:
-            fn = kiv_fit(_BASELINE_KIND[method], split1, split2, lam_grid, xi_grid)
-        mse = mse_out_of_sample(fn, design.design, design.rho, config.test_grid_size, seed)
-        elapsed = time.perf_counter() - start
-        return ResultRow(
-            design=design.design,
-            method=method,
-            merror_kind=design.merror_kind,
-            merror_level=design.merror_level,
-            rho=design.rho,
-            seed=seed,
-            mse=mse,
-            log10_mse=float(np.log10(max(mse, 1e-300))),
-            wall_time_seconds=elapsed,
-            dropped_pairs=dropped,
-            status="ok",
-        )
-    except Exception as exc:  # failures isolate per cell
-        elapsed = time.perf_counter() - start
-        return ResultRow(
-            design=design.design,
-            method=method,
-            merror_kind=design.merror_kind,
-            merror_level=design.merror_level,
-            rho=design.rho,
-            seed=seed,
-            mse=None,
-            log10_mse=None,
-            wall_time_seconds=elapsed,
-            dropped_pairs=dropped,
-            status=f"error:{type(exc).__name__}",
-        )
+        instrument = Instrument(split1.z, split2.z)
+    except Exception as exc:  # failures isolate per dataset
+        seconds = [time.perf_counter() - start] + [0.0] * (len(config.methods) - 1)
+        return [_row(design, m, seed, t, error=exc) for m, t in zip(config.methods, seconds)]
+    lam_grid = (
+        np.asarray(config.lambda_grid, dtype=float) / config.n_stage1
+        if config.lambda_grid is not None
+        else None
+    )
+    xi_grid = np.asarray(config.xi_grid, dtype=float) if config.xi_grid is not None else None
+
+    fits = []  # (fn or exception, dropped pairs, fit seconds) per method
+    for method in config.methods:
+        dropped = None
+        try:
+            if method == "mekiv":
+                cfg = MekivConfig(
+                    alpha_count=config.alpha_count,
+                    pair_cap=config.pair_cap,
+                    lambda_grid=lam_grid,
+                    xi_grid=xi_grid,
+                    gd=config.optimizer,
+                    seed=seed,
+                )
+                fn, details = mekiv_fit(split1, split2, cfg, details=True, instrument=instrument)
+                dropped = details.recovery.dropped_pair_count
+                del details  # its training pairs hold the instrument's eigensystem
+            else:
+                kind = _BASELINE_KIND[method]
+                fn = kiv_fit(kind, split1, split2, lam_grid, xi_grid, instrument)
+        except Exception as exc:  # failures isolate per cell
+            fn = exc
+        now = time.perf_counter()
+        fits.append((fn, dropped, now - start))
+        start = now
+    del instrument, split1, split2
+
+    rows = []
+    for method, (fn, dropped, seconds) in zip(config.methods, fits):
+        start = time.perf_counter()
+        mse, error = None, fn if isinstance(fn, Exception) else None
+        if error is None:
+            try:
+                mse = mse_out_of_sample(fn, design.design, design.rho, config.test_grid_size, seed)
+            except Exception as exc:  # failures isolate per cell
+                error = exc
+        seconds += time.perf_counter() - start
+        rows.append(_row(design, method, seed, seconds, mse, dropped, error))
+    return rows
 
 
 def _worker_count() -> int:
@@ -259,43 +295,52 @@ def read_results_csv(path) -> list[ResultRow]:
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[ResultRow]:
     """Run the full grid; returns rows in canonical (design, method, seed) order.
 
-    Rows are appended to ``<output_dir>/results.csv`` as cells complete, then
-    the file is rewritten in canonical order when the sweep finishes.
+    Datasets run one after another, or in ``workers`` processes (default:
+    ``MEKIV_WORKERS``), never more than there are datasets. Their rows are
+    appended to ``<output_dir>/results.csv`` as datasets complete, then the
+    file is rewritten in canonical order when the sweep finishes. A dataset
+    whose worker fails, a crash included, gets error rows.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
     workers = workers if workers is not None else _worker_count()
 
-    cells = [
-        (di, design, method, seed)
-        for di, design in enumerate(config.designs)
-        for method in config.methods
-        for seed in config.seeds
-    ]
+    datasets = [(design, seed) for design in config.designs for seed in config.seeds]
+    n_methods, n_seeds = len(config.methods), len(config.seeds)
     rows: dict[int, ResultRow] = {}
     with open(results_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_COLUMNS)
-        if workers <= 1:
-            for idx, (_, design, method, seed) in enumerate(cells):
-                row = _run_cell(config, design, method, seed)
-                rows[idx] = row
+
+        def record(idx: int, dataset_rows: list[ResultRow]) -> None:
+            # dataset idx = (design, seed) holds cells (design, method, seed)
+            d, s = divmod(idx, n_seeds)
+            for mi, row in enumerate(dataset_rows):
+                rows[(d * n_methods + mi) * n_seeds + s] = row
                 writer.writerow(row.to_csv_fields())
-                fh.flush()
+            fh.flush()
+
+        if workers <= 1:
+            for idx, (design, seed) in enumerate(datasets):
+                record(idx, _run_dataset(config, design, seed))
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # The pool starts all max_workers processes at the first submit.
+            with ProcessPoolExecutor(max_workers=min(workers, len(datasets))) as pool:
                 futures = {
-                    pool.submit(_run_cell, config, design, method, seed): idx
-                    for idx, (_, design, method, seed) in enumerate(cells)
+                    pool.submit(_run_dataset, config, design, seed): idx
+                    for idx, (design, seed) in enumerate(datasets)
                 }
                 for fut in as_completed(futures):
-                    row = fut.result()
-                    rows[futures[fut]] = row
-                    writer.writerow(row.to_csv_fields())
-                    fh.flush()
+                    idx = futures[fut]
+                    try:
+                        dataset_rows = fut.result()
+                    except Exception as exc:  # a crashed worker: BrokenProcessPool
+                        design, seed = datasets[idx]
+                        dataset_rows = [_row(design, m, seed, 0.0, error=exc) for m in config.methods]
+                    record(idx, dataset_rows)
 
-    ordered = [rows[idx] for idx in range(len(cells))]
+    ordered = [rows[idx] for idx in range(len(datasets) * n_methods)]
     write_results_csv(ordered, results_path)
     return ordered
 

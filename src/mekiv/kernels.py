@@ -79,7 +79,10 @@ def gram(a, b, spec: KernelSpec) -> np.ndarray:
     """Kernel matrix with entry (j, l) = k(a_j, b_l), shape (|a|, |b|)."""
     pa = as_points(a, spec.dimension) / spec.lengthscales
     pb = as_points(b, spec.dimension) / spec.lengthscales
-    return np.exp(-0.5 * cdist(pa, pb, metric="sqeuclidean"))
+    out = cdist(pa, pb, metric="sqeuclidean")
+    out *= -0.5  # in place, so the peak is one (|a|, |b|) buffer, not two
+    np.exp(out, out=out)
+    return out
 
 
 def median_heuristic(samples) -> np.ndarray:

@@ -9,10 +9,12 @@ so that sum_j gamma_j(z) k(o_j, .) estimates the conditional mean embedding of
 the law of the outputs o given z. ``validate_lambda`` picks the ridge
 parameter on a single holdout split using the kernel-trick embedding loss.
 It scores the whole grid on one eigensystem K_ZZ = U diag(e) U' of the
-training half (``gram_eigh``): there gamma = U diag(1/(e + s*lam)) U' K_Zz,
+training half (``holdout_basis``): there gamma = U diag(1/(e + s*lam)) U' K_Zz,
 so each grid value is a diagonal rescale and no value needs a factorization
-of its own. Step 3 of the estimator sweeps its stage-2 ridge on the same
-eigensystem of its instrument Gram, cut to the numerical rank.
+of its own. The basis depends on the instrument only, so every output set
+validated on one instrument shares it. Step 3 of the estimator sweeps its
+stage-2 ridge on the eigensystem of the full instrument Gram, cut to the
+numerical rank.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .kernels import KernelSpec, as_points, gram
 # Additive jitter escalation used whenever an SPD factorization fails.
 JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 
-# Share of the samples that ``validate_lambda`` holds out for scoring.
+# Share of the samples that ``holdout_basis`` holds out for scoring.
 HOLDOUT_FRACTION = 0.5
 
 # Default ridge grid, expressed on the s*lambda scale (the additive term on
@@ -114,7 +116,44 @@ def fit(z, kernel_z: KernelSpec, lam: float) -> CmeSolver:
     return CmeSolver(train_z=zp, kernel_z=kernel_z, lam=float(lam), chol=lower)
 
 
-def _holdout_scores(z_tr, z_val, o_tr, o_val, kernel_z, kernel_out, grid):
+@dataclass(frozen=True)
+class HoldoutBasis:
+    """Eigensystem of the training half of a holdout split of the instrument.
+
+    The leading ``n_tr`` samples train, the remaining ``n_val`` score; with
+    K_ZZ = U diag(e) U' on the training half, B = U' K_{Z, z~} carries the
+    validation half. It depends on the instrument alone, so every output set
+    validated on the same instrument reuses it (see ``validate_lambda``).
+    """
+
+    eigvals: np.ndarray  # (n_tr,) ascending
+    eig_u: np.ndarray  # (n_tr, n_tr)
+    b_matrix: np.ndarray  # (n_tr, n_val)
+
+    @property
+    def n_tr(self) -> int:
+        return self.b_matrix.shape[0]
+
+    @property
+    def n_val(self) -> int:
+        return self.b_matrix.shape[1]
+
+
+def holdout_basis(z, kernel_z: KernelSpec) -> HoldoutBasis:
+    """Split ``z`` into training and validation halves and decompose the first.
+
+    The trailing ``HOLDOUT_FRACTION`` share of the samples is held out; the
+    training Gram gets one full eigendecomposition (``gram_eigh``).
+    """
+    zp = as_points(z, kernel_z.dimension)
+    if len(zp) < 4:
+        raise ValueError(f"need at least 4 samples to validate, got {len(zp)}")
+    n_tr = len(zp) - int(round(len(zp) * HOLDOUT_FRACTION))
+    eigvals, eig_u = gram_eigh(zp[:n_tr], kernel_z)
+    return HoldoutBasis(eigvals, eig_u, eig_u.T @ gram(zp[:n_tr], zp[n_tr:], kernel_z))
+
+
+def _holdout_scores(basis: HoldoutBasis, o_tr, o_val, kernel_out, grid):
     """Kernel-trick embedding loss on the holdout, one score per grid lambda.
 
     Per validation pair: k(o~, o~) - 2 gamma' K_{o,o~} + gamma' K_{oo} gamma,
@@ -132,50 +171,44 @@ def _holdout_scores(z_tr, z_val, o_tr, o_val, kernel_z, kernel_out, grid):
     tolerance (up to ~1e-8, amplified by d up to 1 / (n_tr * lam)) carry up
     to ~1e-3 of the score at the low end of the default grid.
     """
-    eigvals, eig_u = gram_eigh(z_tr, kernel_z)
-    b = eig_u.T @ gram(z_tr, z_val, kernel_z)  # (n_tr, n_val)
+    eigvals, eig_u, b = basis.eigvals, basis.eig_u, basis.b_matrix
     cross = np.sum(b * (eig_u.T @ gram(o_tr, o_val, kernel_out)), axis=1)
     quad = (eig_u.T @ gram(o_tr, o_tr, kernel_out) @ eig_u) * (b @ b.T)
     scores = []
     for lam in grid:
-        d = 1.0 / (eigvals + len(z_tr) * lam)
-        scores.append(float(len(z_val) - 2.0 * (d @ cross) + d @ quad @ d))
+        d = 1.0 / (eigvals + basis.n_tr * lam)
+        scores.append(float(basis.n_val - 2.0 * (d @ cross) + d @ quad @ d))
     return scores
 
 
 def validate_lambda(
-    z,
+    basis: HoldoutBasis,
     outputs,
-    kernel_z: KernelSpec,
     kernel_out: KernelSpec,
     grid,
 ) -> float:
-    """Pick the ridge parameter from ``grid`` on a single deterministic holdout.
+    """Pick the ridge parameter from ``grid`` on the holdout split of ``basis``.
 
-    The leading (1 - HOLDOUT_FRACTION) share of the samples is the training
-    half, the rest scores it; all grid values are scored on one eigensystem
-    of the training Gram (see ``_holdout_scores``). Ties break toward the
-    larger lambda. Raises ``NumericalError`` when no grid value gets a finite
-    score.
+    ``outputs`` holds one row per instrument sample the basis was built from,
+    in the same order. All grid values are scored on the basis's eigensystem
+    (see ``_holdout_scores``). Ties break toward the larger lambda. Raises
+    ``NumericalError`` when no grid value gets a finite score.
     """
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
     if not np.all(grid > 0.0):
         raise ValueError(f"ridge parameters must be positive, got {grid}")
-    zp = as_points(z, kernel_z.dimension)
     op = as_points(outputs, kernel_out.dimension)
-    if len(zp) != len(op):
-        raise ValueError("z and outputs must have equal lengths")
-    if len(zp) < 4:
-        raise ValueError(f"need at least 4 samples to validate, got {len(zp)}")
-    n_val = int(round(len(zp) * HOLDOUT_FRACTION))
-    n_tr = len(zp) - n_val
+    n_tr = basis.n_tr
+    if len(op) != n_tr + basis.n_val:
+        raise ValueError(
+            f"outputs have {len(op)} rows, but the holdout basis was built "
+            f"from {n_tr + basis.n_val} instrument samples"
+        )
 
     order = np.argsort(grid, kind="stable")
-    scores = _holdout_scores(
-        zp[:n_tr], zp[n_tr:], op[:n_tr], op[n_tr:], kernel_z, kernel_out, grid[order]
-    )
+    scores = _holdout_scores(basis, op[:n_tr], op[n_tr:], kernel_out, grid[order])
     best_lam, best_score = None, np.inf
     for lam, score in zip(grid[order], scores):
         if score <= best_score:  # ascending grid, so <= prefers larger lambda

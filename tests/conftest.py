@@ -21,3 +21,18 @@ def decompositions(monkeypatch):
         monkeypatch.setattr(owner, "cholesky", counted("cholesky", owner.cholesky))
         monkeypatch.setattr(owner, "eigh", counted("eigh", owner.eigh))
     return counts
+
+
+@pytest.fixture
+def gram_eigh_sizes(monkeypatch):
+    """Sizes of the Gram matrices eigendecomposed through ``krr.gram_eigh``,
+    in call order, while the test runs."""
+    sizes = []
+    gram_eigh = krr.gram_eigh
+
+    def counted(z, kernel):
+        sizes.append(len(z))
+        return gram_eigh(z, kernel)
+
+    monkeypatch.setattr(krr, "gram_eigh", counted)
+    return sizes

@@ -97,7 +97,7 @@ def test_c3_differentiation_trick_consistency():
     x = z + rng.standard_normal(s1)
     kernel_z = KernelSpec(median_heuristic(z))
     kernel_x = KernelSpec(median_heuristic(x))
-    lam = krr.validate_lambda(z, x, kernel_z, kernel_x, krr.default_lambda_grid(s1))
+    lam = krr.validate_lambda(krr.holdout_basis(z, kernel_z), x, kernel_x, krr.default_lambda_grid(s1))
     solver = krr.fit(z, kernel_z, lam)
     ell = kernel_x.lengthscales[0]
     worst = 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from mekiv.baselines import BASELINE_KINDS, kiv_fit
 from mekiv.datagen import DesignSpec, generate_splits
+from mekiv.estimator import Instrument
 from mekiv.harness import mse_out_of_sample
 
 
@@ -79,22 +80,19 @@ def test_oracle_fit_is_exactly_the_shared_stage2_path():
     import numpy as np
 
     from mekiv import krr
-    from mekiv.estimator import DEFAULT_XI_GRID, step3
+    from mekiv.estimator import DEFAULT_XI_GRID, Instrument, step3
     from mekiv.kernels import KernelSpec, Standardizer, median_heuristic
 
     spec = DesignSpec(design="linear", merror_level=0.0, sample_size=300, seed=5)
     s1d, s2d = generate_splits(spec, 150, 150)
     via_baseline = kiv_fit("oracle", s1d, s2d)
 
-    z_scaler = Standardizer.fit(s1d.z)
-    z1s = z_scaler.transform(s1d.z)
-    z2s = z_scaler.transform(s2d.z)
+    instrument = Instrument(s1d.z, s2d.z)
     x_scaler = Standardizer.fit(s1d.x)
     x1s = x_scaler.transform(s1d.x)
-    kernel_z = KernelSpec(median_heuristic(z1s))
     kernel_x = KernelSpec(median_heuristic(x1s))
-    lam = krr.validate_lambda(z1s, x1s, kernel_z, kernel_x, krr.default_lambda_grid(150))
-    direct = step3(x1s, lam, z1s, s1d.y, z2s, s2d.y, DEFAULT_XI_GRID, kernel_z, x_scaler)
+    lam = krr.validate_lambda(instrument.holdout, x1s, kernel_x, krr.default_lambda_grid(150))
+    direct = step3(x1s, lam, instrument, s1d.y, s2d.y, DEFAULT_XI_GRID, kernel_x, x_scaler)
 
     grid = np.linspace(0.05, 0.95, 80)
     assert np.array_equal(via_baseline.predict(grid), direct.predict(grid))
@@ -150,3 +148,24 @@ def test_another_instrument_width_rejected_at_entry():
     for kind in BASELINE_KINDS:
         with pytest.raises(ValueError, match="column 'z' of the second split has 2 column"):
             kiv_fit(kind, s1d, s2d)
+
+
+def test_kiv_fit_decomposes_its_instrument_once(gram_eigh_sizes):
+    spec = DesignSpec(design="demand", rho=0.5, merror_level=0.5, sample_size=240, seed=4)
+    s1d, s2d = generate_splits(spec, 120, 100)
+    kiv_fit("mn-average", s1d, s2d)
+    assert gram_eigh_sizes == [60, 120]
+
+
+@pytest.mark.parametrize("kind", BASELINE_KINDS)
+def test_shared_instrument_fits_bitwise_and_another_is_rejected(kind):
+    spec = DesignSpec(design="linear", merror_level=1.0, sample_size=200, seed=6)
+    s1d, s2d = generate_splits(spec, 100, 100)
+    grid = np.linspace(0.05, 0.95, 40)
+    shared = Instrument(s1d.z, s2d.z)
+    assert np.array_equal(kiv_fit(kind, s1d, s2d, instrument=shared).predict(grid),
+                          kiv_fit(kind, s1d, s2d).predict(grid))
+    with pytest.raises(ValueError, match="instrument was not built from the first split's 'z'"):
+        kiv_fit(kind, s1d, s2d, instrument=Instrument(s2d.z, s2d.z))
+    with pytest.raises(ValueError, match="instrument was not built from the second split's 'z'"):
+        kiv_fit(kind, s1d, s2d, instrument=Instrument(s1d.z, s1d.z))

@@ -9,6 +9,7 @@ from mekiv.estimator import (
     DEFAULT_XI_GRID,
     XI_SCORE_REL_TOL,
     GdConfig,
+    Instrument,
     MekivConfig,
     Stage1Output,
     StructuralFn,
@@ -77,7 +78,7 @@ def test_step1_fits_shared_instrument_sample():
     # the joint ridge is validated on the 2-d (M, N) outputs with the product kernel
     kernel_mn = KernelSpec(np.concatenate([median_heuristic(stage1.m), median_heuristic(stage1.n)]))
     mn = np.column_stack([stage1.m, stage1.n])
-    assert krr.validate_lambda(stage1.z, mn, stage1.kernel_z, kernel_mn, grid) == stage1.lambda_mn
+    assert krr.validate_lambda(stage1.instrument.holdout, mn, kernel_mn, grid) == stage1.lambda_mn
 
 
 def test_step1_pooled_standardization_preserves_error_structure():
@@ -368,9 +369,8 @@ def test_step3_constant_outcome_reproduces_constant():
     fn = step3(
         x_scaler.transform(x1),
         1e-3,
-        z1,
+        Instrument(z1, z2),
         np.full(s1, 4.2),
-        z2,
         np.full(s2, 4.2),
         np.logspace(-7, 0, 5),
         KernelSpec([1.0]),
@@ -388,7 +388,7 @@ def test_step3_heavy_ridge_predicts_outcome_mean():
     x1 = (z1[:, 0] + 0.2 * rng.standard_normal(s))[:, None]
     y2 = rng.normal(3.0, 1.0, size=s)
     x_scaler = Standardizer.fit(x1)
-    fn = step3(x_scaler.transform(x1), 1e-3, z1, rng.normal(3.0, 1.0, size=s), z2, y2,
+    fn = step3(x_scaler.transform(x1), 1e-3, Instrument(z1, z2), rng.normal(3.0, 1.0, size=s), y2,
                [1e9], KernelSpec([1.0]), x_scaler)
     for q in np.linspace(-1, 1, 5):
         assert fn.predict(q) == pytest.approx(y2.mean(), abs=1e-4)
@@ -409,12 +409,10 @@ def test_step3_makes_no_failing_cholesky_attempt(monkeypatch):
 
     spec = DesignSpec(design="linear", merror_level=0.0, sample_size=400, seed=23)
     s1d, s2d = generate_splits(spec, 200, 200)
-    z_scaler = Standardizer.fit(s1d.z)
     x_scaler = Standardizer.fit(s1d.x)
     monkeypatch.setattr(krr.scipy.linalg, "cholesky", counted)
-    fn = step3(x_scaler.transform(s1d.x), 1e-3, z_scaler.transform(s1d.z), s1d.y,
-               z_scaler.transform(s2d.z), s2d.y, np.logspace(-7, 0, 10), KernelSpec([1.0]),
-               x_scaler)
+    fn = step3(x_scaler.transform(s1d.x), 1e-3, Instrument(s1d.z, s2d.z), s1d.y,
+               s2d.y, np.logspace(-7, 0, 10), KernelSpec([1.0]), x_scaler)
     assert failures == []
     assert np.all(np.isfinite(fn.predict(np.linspace(0.05, 0.95, 9))))
 
@@ -442,22 +440,25 @@ def _jittered_step3_reference(x_hat, lambda_x, z1s, y1, z2s, y2, xi_grid, kernel
 
 
 def _linear_step3_inputs(seed=26, n=300):
+    # the instrument is built from split 1 alone: ``with_z2`` adds split 2
     spec = DesignSpec(design="linear", merror_level=1.0, sample_size=2 * n, seed=seed)
     s1d, s2d = generate_splits(spec, n, n)
-    z_scaler = Standardizer.fit(s1d.z)
+    instrument = Instrument(s1d.z)
     x_scaler = Standardizer.fit(s1d.m)
-    z1s, z2s = z_scaler.transform(s1d.z), z_scaler.transform(s2d.z)
     x1s = x_scaler.transform(s1d.m)
-    kernel_z = KernelSpec(median_heuristic(z1s))
     kernel_x = KernelSpec(median_heuristic(x1s))
-    lam = krr.validate_lambda(z1s, x1s, kernel_z, kernel_x, krr.default_lambda_grid(n))
-    return (x1s, lam, z1s, s1d.y, z2s, s2d.y, DEFAULT_XI_GRID, kernel_z), x_scaler
+    lam = krr.validate_lambda(instrument.holdout, x1s, kernel_x, krr.default_lambda_grid(n))
+    return (x1s, lam, instrument, s1d.y, s2d.z, s2d.y, DEFAULT_XI_GRID, kernel_x), x_scaler
 
 
 def test_step3_matches_the_jittered_cholesky_reference():
     args, x_scaler = _linear_step3_inputs()
-    fn = step3(*args, x_scaler)
-    xi, beta, kernel_x, y_scaler = _jittered_step3_reference(*args)
+    x1s, lam, instrument, y1, z2, y2, xi_grid, kernel_x = args
+    instrument = instrument.with_z2(z2)
+    fn = step3(x1s, lam, instrument, y1, y2, xi_grid, kernel_x, x_scaler)
+    xi, beta, kernel_x, y_scaler = _jittered_step3_reference(
+        x1s, lam, instrument.z1s, y1, instrument.z2s, y2, xi_grid, instrument.kernel_z
+    )
     ref = StructuralFn(args[0], beta, kernel_x, x_scaler, y_scaler, args[1], xi)
     assert fn.xi == xi
     grid = np.linspace(0.05, 0.95, 50)
@@ -468,8 +469,9 @@ def test_step3_matches_the_jittered_cholesky_reference():
 @pytest.mark.parametrize("grid_size", [3, 10])
 def test_step3_makes_one_eigendecomposition_and_no_cholesky(decompositions, grid_size):
     args, x_scaler = _linear_step3_inputs(n=100)
+    x1s, lam, instrument, y1, z2, y2, _, kernel_x = args
     decompositions.update(cholesky=0, eigh=0)  # validate_lambda ran while building the inputs
-    step3(*args[:6], np.logspace(-7, 0, grid_size), args[7], x_scaler)
+    step3(x1s, lam, instrument.with_z2(z2), y1, y2, np.logspace(-7, 0, grid_size), kernel_x, x_scaler)
     assert decompositions == {"cholesky": 0, "eigh": 1}
 
 
@@ -477,12 +479,13 @@ def test_step3_validates_shapes_and_grid():
     rng = np.random.default_rng(22)
     z = rng.normal(size=(10, 1))
     x_scaler = Standardizer.fit(z)
+    instrument = Instrument(z, z)
     with pytest.raises(ValueError):
-        step3(z, 1e-3, z, np.zeros(10), z, np.zeros(10), [], KernelSpec([1.0]), x_scaler)
+        step3(z, 1e-3, instrument, np.zeros(10), np.zeros(10), [], KernelSpec([1.0]), x_scaler)
     with pytest.raises(ValueError):
-        step3(z, -1.0, z, np.zeros(10), z, np.zeros(10), [0.1], KernelSpec([1.0]), x_scaler)
+        step3(z, -1.0, instrument, np.zeros(10), np.zeros(10), [0.1], KernelSpec([1.0]), x_scaler)
     with pytest.raises(ValueError):
-        step3(z[:5], 1e-3, z, np.zeros(10), z, np.zeros(10), [0.1], KernelSpec([1.0]), x_scaler)
+        step3(z[:5], 1e-3, instrument, np.zeros(10), np.zeros(10), [0.1], KernelSpec([1.0]), x_scaler)
 
 
 def test_predict_one_hot_beta_reads_kernel_row():
@@ -573,3 +576,28 @@ def test_mekiv_fit_demand_smoke():
     assert np.all(np.isfinite(preds))
     single = fn.predict(s2d.x[0])
     assert single == pytest.approx(preds[0])
+
+
+def test_mekiv_fit_decomposes_its_instrument_once(gram_eigh_sizes):
+    # step 1 validates both ridges on one holdout basis; steps 2 and 3 share K_ZZ
+    spec = DesignSpec(design="linear", merror_level=0.5, sample_size=240, seed=24)
+    s1d, s2d = generate_splits(spec, 120, 120)
+    mekiv_fit(s1d, s2d, MekivConfig(alpha_count=8, pair_cap=500, gd=GdConfig(max_iters=5)))
+    assert gram_eigh_sizes == [60, 120]
+
+
+def test_mekiv_fit_on_a_shared_instrument_is_bitwise_its_own_and_rejects_another():
+    spec = DesignSpec(design="linear", merror_level=0.5, sample_size=240, seed=24)
+    s1d, s2d = generate_splits(spec, 120, 120)
+    cfg = MekivConfig(alpha_count=8, pair_cap=500, gd=GdConfig(max_iters=20), seed=3)
+    grid = np.linspace(0.05, 0.95, 50)
+    shared = Instrument(s1d.z, s2d.z)
+    assert np.array_equal(mekiv_fit(s1d, s2d, cfg, instrument=shared).predict(grid),
+                          mekiv_fit(s1d, s2d, cfg).predict(grid))
+    other = generate_splits(dataclasses.replace(spec, seed=25), 120, 120)
+    with pytest.raises(ValueError, match="instrument was not built from the first split's 'z'"):
+        mekiv_fit(s1d, s2d, cfg, instrument=Instrument(other[0].z, s2d.z))
+    with pytest.raises(ValueError, match="instrument was not built from the second split's 'z'"):
+        mekiv_fit(s1d, s2d, cfg, instrument=Instrument(s1d.z, other[1].z))
+    with pytest.raises(ValueError, match="instrument was not built from the second split's 'z'"):
+        mekiv_fit(s1d, s2d, cfg, instrument=Instrument(s1d.z))

@@ -1,11 +1,17 @@
+import dataclasses
 import json
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from mekiv.datagen import DesignSpec, structural_truth
-from mekiv.estimator import GdConfig
+from mekiv import harness
+from mekiv.baselines import kiv_fit
+from mekiv.datagen import DesignSpec, generate_splits, structural_truth
+from mekiv.estimator import GdConfig, MekivConfig, mekiv_fit
 from mekiv.harness import (
+    METHODS,
     RESULTS_HEADER,
     ExperimentConfig,
     ResultRow,
@@ -204,3 +210,111 @@ def test_workers_env_parallel_matches_sequential(tmp_path, monkeypatch):
     monkeypatch.setenv("MEKIV_WORKERS", "2")
     env_rows = run_experiment(config)
     assert [r.mse for r in env_rows] == [r.mse for r in seq]
+
+
+def _four_method_config(tmp_path, **overrides):
+    base = dict(
+        designs=[
+            DesignSpec(design="linear", merror_level=0.5, sample_size=1),
+            DesignSpec(design="demand", merror_level=0.5, rho=0.5, sample_size=1),
+        ],
+        methods=list(METHODS),
+        seeds=[0, 1],
+        alpha_count=8,
+        pair_cap=500,
+        optimizer=GdConfig(max_iters=10),
+    )
+    base.update(overrides)
+    return _tiny_config(tmp_path, **base)
+
+
+def test_grid_cells_equal_standalone_fits_bitwise(tmp_path):
+    # the grid shares one instrument per dataset; a standalone fit builds its own
+    config = _four_method_config(tmp_path)
+    rows = run_experiment(config)
+    assert len(rows) == 16 and all(r.status == "ok" for r in rows)
+    kinds = {"kiv-oracle": "oracle", "kiv-m": "m-as-x", "kiv-mn": "mn-average"}
+    for row in rows:
+        design = next(d for d in config.designs if d.design == row.design)
+        split1, split2 = generate_splits(dataclasses.replace(design, seed=row.seed), 60, 60)
+        if row.method == "mekiv":
+            cfg = MekivConfig(alpha_count=8, pair_cap=500, gd=GdConfig(max_iters=10), seed=row.seed)
+            fn = mekiv_fit(split1, split2, cfg)
+        else:
+            fn = kiv_fit(kinds[row.method], split1, split2)
+        assert row.mse == mse_out_of_sample(fn, design.design, design.rho, 50, row.seed)
+
+
+@pytest.mark.parametrize("methods", [["kiv-m"], list(METHODS)])
+def test_grid_decomposes_each_instrument_once(tmp_path, gram_eigh_sizes, methods):
+    # two eigendecompositions per dataset: the holdout half and the full K_ZZ
+    rows = run_experiment(_four_method_config(tmp_path, methods=methods))
+    assert all(r.status == "ok" for r in rows)
+    assert gram_eigh_sizes == [30, 60] * 4  # 2 designs x 2 seeds
+
+
+def test_dataset_whose_generation_fails_gives_error_rows_for_every_method(tmp_path, monkeypatch):
+    real = harness.generate_splits
+
+    def failing_on_seed_one(spec, n1, n2):
+        if spec.seed == 1:
+            raise RuntimeError("no data for this seed")
+        return real(spec, n1, n2)
+
+    monkeypatch.setattr(harness, "generate_splits", failing_on_seed_one)
+    rows = run_experiment(_tiny_config(tmp_path))
+    assert [(r.method, r.seed) for r in rows] == [(m, s) for m in ("kiv-oracle", "kiv-m") for s in (0, 1, 2)]
+    assert [r.status for r in rows if r.seed == 1] == ["error:RuntimeError"] * 2
+    assert all(r.mse is None for r in rows if r.seed == 1)
+    assert all(r.status == "ok" for r in rows if r.seed != 1)
+
+
+class _InlinePool:
+    """Stands in for ``ProcessPoolExecutor``: runs each job at submit, in this
+    process, and records the ``max_workers`` it was asked for."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_pool_starts_no_more_workers_than_datasets(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    _InlinePool.requested.clear()
+    config = _tiny_config(tmp_path, seeds=[0, 1])
+    rows = run_experiment(config, workers=8)
+    assert _InlinePool.requested == [2]
+    assert [r.mse for r in rows] == [r.mse for r in run_experiment(config, workers=1)]
+
+
+_RUN_DATASET = harness._run_dataset
+
+
+def _crash_on_seed_one(config, design, seed):
+    # a worker process that dies: the pool raises BrokenProcessPool
+    if seed == 1:
+        os._exit(1)
+    return _RUN_DATASET(config, design, seed)
+
+
+def test_crashed_worker_gives_error_rows_and_the_sweep_finishes(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_run_dataset", _crash_on_seed_one)
+    rows = run_experiment(_tiny_config(tmp_path), workers=2)
+    assert [(r.method, r.seed) for r in rows] == [(m, s) for m in ("kiv-oracle", "kiv-m") for s in (0, 1, 2)]
+    assert [r.status for r in rows if r.seed == 1] == ["error:BrokenProcessPool"] * 2
+    # datasets still pending when the pool broke fail the same way; none is lost
+    assert {r.status for r in rows} <= {"ok", "error:BrokenProcessPool"}
+    loaded = read_results_csv(tmp_path / "results" / "results.csv")
+    assert [(r.method, r.seed, r.status) for r in loaded] == [(r.method, r.seed, r.status) for r in rows]

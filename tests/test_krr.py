@@ -124,7 +124,7 @@ def test_validate_lambda_noiseless_picks_grid_minimum():
     z = np.sort(rng.uniform(-2, 2, size=50))
     kernel = KernelSpec([1.0])
     grid = np.logspace(-7, 0, 6) / len(z)
-    best = krr.validate_lambda(z, z, kernel, kernel, grid)
+    best = krr.validate_lambda(krr.holdout_basis(z, kernel), z, kernel, grid)
     assert best == pytest.approx(grid[0])
     scores = _brute_force_scores(z[:, None], z, kernel, kernel, grid)
     assert int(np.argmin(scores)) == 0
@@ -136,7 +136,7 @@ def test_validate_lambda_pure_noise_picks_grid_maximum():
     out = rng.normal(size=60)  # independent of z
     kernel = KernelSpec([1.0])
     grid = np.logspace(-7, 0, 6) / len(z)
-    best = krr.validate_lambda(z, out, kernel, kernel, grid)
+    best = krr.validate_lambda(krr.holdout_basis(z, kernel), out, kernel, grid)
     assert best == pytest.approx(grid[-1])
 
 
@@ -145,11 +145,13 @@ def test_validate_lambda_single_grid_and_errors():
     z = rng.normal(size=10)
     out = rng.normal(size=10)
     kernel = KernelSpec([1.0])
-    assert krr.validate_lambda(z, out, kernel, kernel, [0.3]) == pytest.approx(0.3)
+    assert krr.validate_lambda(krr.holdout_basis(z, kernel), out, kernel, [0.3]) == pytest.approx(0.3)
     with pytest.raises(ValueError):
-        krr.validate_lambda(z, out, kernel, kernel, [])
+        krr.validate_lambda(krr.holdout_basis(z, kernel), out, kernel, [])
     with pytest.raises(ValueError):
-        krr.validate_lambda(z[:3], out[:3], kernel, kernel, [0.1])
+        krr.validate_lambda(krr.holdout_basis(z[:3], kernel), out[:3], kernel, [0.1])
+    with pytest.raises(ValueError, match="built from 10 instrument samples"):
+        krr.validate_lambda(krr.holdout_basis(z, kernel), out[:9], kernel, [0.1])
 
 
 def test_validate_lambda_matches_brute_force_argmin():
@@ -158,7 +160,7 @@ def test_validate_lambda_matches_brute_force_argmin():
     out = np.sin(z) + 0.3 * rng.normal(size=16)
     kernel = KernelSpec([1.0])
     grid = np.logspace(-5, 0, 5) / len(z)
-    best = krr.validate_lambda(z, out, kernel, kernel, grid)
+    best = krr.validate_lambda(krr.holdout_basis(z, kernel), out, kernel, grid)
     scores = _brute_force_scores(z[:, None], out, kernel, kernel, grid)
     assert best == pytest.approx(grid[int(np.argmin(scores))])
 
@@ -183,7 +185,7 @@ def test_validate_lambda_raises_when_no_score_is_finite():
     out[3] = np.inf  # in the training half: every holdout score is NaN
     kernel = KernelSpec([1.0])
     with pytest.raises(krr.NumericalError, match="no finite holdout score"):
-        krr.validate_lambda(z, out, kernel, kernel, np.logspace(-5, 0, 4) / len(z))
+        krr.validate_lambda(krr.holdout_basis(z, kernel), out, kernel, np.logspace(-5, 0, 4) / len(z))
 
 
 def _cholesky_holdout_scores(z_tr, z_val, o_tr, o_val, kernel_z, kernel_out, grid):
@@ -218,12 +220,13 @@ def test_holdout_scores_match_the_cholesky_reference(dz, seed):
     grid = krr.default_lambda_grid(n)
     parts = (z[:n_tr], z[n_tr:], out[:n_tr], out[n_tr:], kernel_z, kernel_out, grid)
     ref = _cholesky_holdout_scores(*parts)
-    new = np.array(krr._holdout_scores(*parts))
+    basis = krr.holdout_basis(z, kernel_z)
+    new = np.array(krr._holdout_scores(basis, out[:n_tr], out[n_tr:], kernel_out, grid))
     eigvals = np.linalg.eigvalsh(gram(z[:n_tr], z[:n_tr], kernel_z))
     assert (dz == 3) == (eigvals[0] > eigvals[-1] * n_tr * np.finfo(float).eps)
     cond = (eigvals[-1] + n_tr * grid) / (n_tr * grid)
     assert np.all(np.abs(new - ref) <= (1e-8 + cond * np.finfo(float).eps) * np.abs(ref))
-    chosen = krr.validate_lambda(z, out, kernel_z, kernel_out, grid)
+    chosen = krr.validate_lambda(basis, out, kernel_out, grid)
     assert chosen == _lowest_score_lambda(grid, ref)
 
 
@@ -233,5 +236,5 @@ def test_validate_lambda_makes_one_eigendecomposition_and_no_cholesky(decomposit
     z = rng.normal(size=80)
     out = np.sin(z) + 0.3 * rng.normal(size=80)
     kernel = KernelSpec([1.0])
-    krr.validate_lambda(z, out, kernel, kernel, np.logspace(-7, 0, grid_size) / 80)
+    krr.validate_lambda(krr.holdout_basis(z, kernel), out, kernel, np.logspace(-7, 0, grid_size) / 80)
     assert decompositions == {"cholesky": 0, "eigh": 1}
