@@ -6,16 +6,6 @@ alongside standard kernel-IV baselines and synthetic benchmark designs.
 """
 
 from .baselines import BASELINE_KINDS, kiv_fit
-from .charfun import (
-    EPS_DENOM,
-    DegenerateRatioError,
-    EmpiricalCF,
-    l2q_distance_sq,
-    ratio_grid,
-    rkhs_distance_sq,
-    w_mn,
-    w_x,
-)
 from .datagen import (
     DESIGNS,
     MERROR_KINDS,
@@ -25,12 +15,12 @@ from .datagen import (
     generate,
     generate_splits,
     load_dataset,
-    moment_checks,
     save_dataset,
     structural_truth,
 )
 from .estimator import (
     DEFAULT_XI_GRID,
+    EPS_DENOM,
     GdConfig,
     Instrument,
     LatentRecovery,
@@ -42,6 +32,7 @@ from .estimator import (
     make_training_pairs,
     mekiv_fit,
     optimize_latents,
+    ratio_grid,
     step1,
     step2_grad,
     step2_loss,
@@ -63,7 +54,6 @@ from .kernels import (
     Standardizer,
     gram,
     median_heuristic,
-    rbf_eval,
 )
 from .krr import (
     CmeSolver,

@@ -18,7 +18,6 @@ from .estimator import (
     instrument_for,
     require_finite,
     require_rows,
-    require_same_columns,
     step3,
 )
 from .kernels import KernelSpec, Standardizer, median_heuristic
@@ -60,23 +59,20 @@ def kiv_fit(
     ``Instrument`` of the two splits' ``z``: the one passed, which must have
     been built from them, or one built here.
     """
-    z1 = np.asarray(split1.z, dtype=float)
-    x1 = _proxy(kind, split1, z1)
+    instrument = instrument_for(split1.z, split2.z, instrument)
+    x1 = _proxy(kind, split1, instrument.z1)
     y1 = np.asarray(split1.y, dtype=float).ravel()
-    z2 = np.asarray(split2.z, dtype=float)
     y2 = np.asarray(split2.y, dtype=float).ravel()
-    require_rows("first split", z=z1, y=y1)
-    require_rows("second split", z=z2, y=y2)
-    require_finite("first split", z=z1, y=y1)
-    require_finite("second split", z=z2, y=y2)
-    require_same_columns("z", z1, z2)
-    instrument = instrument_for(z1, z2, instrument)
+    require_rows("first split", z=instrument.z1, y=y1)
+    require_rows("second split", z=instrument.z2, y=y2)
+    require_finite("first split", y=y1)
+    require_finite("second split", y=y2)
 
     x_scaler = Standardizer.fit(x1)
     x1s = x_scaler.transform(x1)
     kernel_x = KernelSpec(median_heuristic(x1s))
     if lambda_grid is None:
-        lambda_grid = krr.default_lambda_grid(len(z1))
+        lambda_grid = krr.default_lambda_grid(len(instrument.z1))
     lam = krr.validate_lambda(instrument.holdout, x1s, kernel_x, lambda_grid)
 
     xi_grid = xi_grid if xi_grid is not None else DEFAULT_XI_GRID

@@ -234,37 +234,6 @@ def generate_splits(spec: DesignSpec, n_stage1: int, n_stage2: int):
     return full.split(n_stage1)
 
 
-def moment_checks(ds: Dataset) -> dict:
-    """Exogeneity diagnostics: measurement-error and instrument moment checks.
-
-    Returns absolute sample correlations |corr(dM, dN)|, |corr(dN, x)|,
-    |corr(eps, dN)| and the largest |mean(eps)| over instrument quantile
-    bins. Shipped as a self-test helper, not a runtime assertion.
-    """
-    cd = ds.corrupted_dim
-    x = ds.x[:, cd]
-    dm = ds.m[:, cd] - x
-    dn = ds.n[:, cd] - x
-    eps = ds.y - structural_truth(ds.spec.design, ds.x)
-
-    def abscorr(a, b):
-        if np.std(a) == 0.0 or np.std(b) == 0.0:
-            return 0.0
-        return float(abs(np.corrcoef(a, b)[0, 1]))
-
-    zc = ds.z[:, 0]
-    n_bins = 10
-    edges = np.quantile(zc, np.linspace(0.0, 1.0, n_bins + 1))
-    idx = np.clip(np.searchsorted(edges, zc, side="right") - 1, 0, n_bins - 1)
-    bin_means = [abs(float(np.mean(eps[idx == b]))) for b in range(n_bins) if np.any(idx == b)]
-    return {
-        "corr_dm_dn": abscorr(dm, dn),
-        "corr_dn_x": abscorr(dn, x),
-        "corr_eps_dn": abscorr(eps, dn),
-        "max_binned_eps_mean": max(bin_means),
-    }
-
-
 def _header(ds: Dataset) -> list[str]:
     cols = []
     for name, arr in (("z", ds.z), ("x", ds.x), ("m", ds.m), ("n", ds.n)):

@@ -16,13 +16,11 @@ scalers needed to accept raw treatment points and emit raw outcomes.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import krr
-from .charfun import EPS_DENOM, ratio_grid
 from .kernels import (
     KernelSpec,
     SpectralSampler,
@@ -37,6 +35,9 @@ DEFAULT_XI_GRID = np.logspace(-7.0, 0.0, 10)
 
 # Relative near-tie band for the stage-2 ridge selection (see step3).
 XI_SCORE_REL_TOL = 5e-3
+
+# Below this denominator modulus a ratio is treated as degenerate.
+EPS_DENOM = 1e-8
 
 
 def instrument_eigensystem(
@@ -61,8 +62,8 @@ class Instrument:
     """The instrument side of the fits on two splits, computed once.
 
     Built from the raw instrument samples ``z1`` (first split) and ``z2``
-    (second split), it holds what every fit on those splits reads and none
-    changes:
+    (second split), it holds what steps 1-3 of every fit on those splits read
+    and none changes:
 
     - ``z_scaler`` (fitted on ``z1``), the standardized ``z1s`` and ``z2s``,
       and the median-heuristic ``kernel_z``;
@@ -73,54 +74,42 @@ class Instrument:
       steps 2 and 3.
 
     ``kiv_fit`` and ``mekiv_fit`` build one when none is passed; passing one
-    lets the fits of several methods on the same splits share it. ``z2`` may
-    be left out while only step 1 reads the instrument (``with_z2`` adds it).
-    The constructor runs the fits' entry checks on ``z``.
+    lets the fits of several methods on the same splits share it. The
+    constructor is the one place ``z`` is checked: an empty split, a
+    non-finite value, a ``z`` with no columns and splits of different ``z``
+    widths raise ``ValueError`` naming the column and the split.
     """
 
-    def __init__(self, z1, z2=None):
-        self.z1 = _columns(z1)
-        require_rows("first split", z=self.z1)
-        require_finite("first split", z=self.z1)
+    def __init__(self, z1, z2):
+        self.z1, self.z2 = _columns(z1), _columns(z2)
+        for split, z in (("first split", self.z1), ("second split", self.z2)):
+            require_rows(split, z=z)
+            require_finite(split, z=z)
+            if z.shape[1] == 0:
+                raise ValueError(
+                    f"column 'z' of the {split} has 0 columns; the instrument needs at least one"
+                )
+        require_same_columns("z", self.z1, self.z2)
         self.z_scaler = Standardizer.fit(self.z1)
         self.z1s = self.z_scaler.transform(self.z1)
         self.kernel_z = KernelSpec(median_heuristic(self.z1s))
         self.holdout = krr.holdout_basis(self.z1s, self.kernel_z)
-        self.z2 = self.z2s = self.eigvals = self.eig_u = self.b_matrix = None
-        if z2 is not None:
-            self._attach_z2(z2)
-
-    def _attach_z2(self, z2) -> None:
-        z2 = _columns(z2)
-        require_rows("second split", z=z2)
-        require_finite("second split", z=z2)
-        require_same_columns("z", self.z1, z2)
-        self.z2 = z2
-        self.z2s = self.z_scaler.transform(z2)
+        self.z2s = self.z_scaler.transform(self.z2)
         self.eigvals, self.eig_u, self.b_matrix = instrument_eigensystem(
             self.z1s, self.z2s, self.kernel_z
         )
 
-    def with_z2(self, z2) -> "Instrument":
-        """This instrument with ``z2`` as its second split: itself when built
-        from ``z2``, else a copy that shares the first-split part."""
-        if np.array_equal(self.z2, _columns(z2)):
-            return self
-        other = copy.copy(self)
-        other._attach_z2(z2)
-        return other
 
-
-def instrument_for(z1, z2=None, instrument: Instrument | None = None) -> Instrument:
+def instrument_for(z1, z2, instrument: Instrument | None = None) -> Instrument:
     """``Instrument(z1, z2)`` when ``instrument`` is None, else ``instrument``
-    once checked to be built from ``z1`` (and from ``z2`` when given).
+    once checked to be built from ``z1`` and ``z2``.
 
     Raises ``ValueError`` naming the split whose ``z`` it was not built from.
     """
     if instrument is None:
         return Instrument(z1, z2)
     for split, own, given in (("first", instrument.z1, z1), ("second", instrument.z2, z2)):
-        if given is not None and not np.array_equal(own, _columns(given)):
+        if not np.array_equal(own, _columns(given)):
             raise ValueError(f"the instrument was not built from the {split} split's 'z'")
     return instrument
 
@@ -147,10 +136,6 @@ class Stage1Output:
         return self.instrument.z1s
 
     @property
-    def z_scaler(self) -> Standardizer:
-        return self.instrument.z_scaler
-
-    @property
     def kernel_z(self) -> KernelSpec:
         return self.instrument.kernel_z
 
@@ -163,24 +148,22 @@ class Stage1Output:
         return self.solver_mn.lam
 
 
-def step1(z1, m1, n1, lambda_grid=None, instrument: Instrument | None = None) -> Stage1Output:
+def step1(instrument: Instrument, m1, n1, lambda_grid=None) -> Stage1Output:
     """Fit the N|Z and (M,N)|Z embeddings with validated ridge parameters.
 
-    ``m1`` and ``n1`` are the 1-d corrupted treatment coordinates. The joint
-    embedding uses the product kernel k_M * k_N, i.e. a 2-d RBF whose
-    per-dimension lengthscales come from the marginal median heuristics.
-    Both ridges are validated on the holdout basis of ``instrument``, which
-    is built from ``z1`` when not given.
+    ``m1`` and ``n1`` are the 1-d corrupted treatment coordinates, one per
+    first-split row of ``instrument``. The joint embedding uses the product
+    kernel k_M * k_N, i.e. a 2-d RBF whose per-dimension lengthscales come
+    from the marginal median heuristics. Both ridges are validated on the
+    holdout basis of ``instrument``.
     """
     m1 = np.asarray(m1, dtype=float).ravel()
     n1 = np.asarray(n1, dtype=float).ravel()
-    z1 = _columns(z1)
-    s1 = len(z1)
+    s1 = len(instrument.z1s)
     if not (len(m1) == len(n1) == s1):
         raise ValueError("z1, m1, n1 must have equal lengths")
     if s1 < 20:
         raise ValueError(f"stage 1 needs at least 20 samples, got {s1}")
-    instrument = instrument_for(z1, instrument=instrument)
 
     x_scaler = Standardizer.fit(np.concatenate([m1, n1]))
     ms = x_scaler.transform(m1)
@@ -252,31 +235,47 @@ class TrainingPairs:
         return self.eig_u.shape[0]
 
 
+def ratio_grid(alphas, anchors, companions, gamma_num, gamma_den):
+    """w[a, j] = sum_k c_k Gnum[k, j] e^{i alpha_a t_k} / sum_k Gden[k, j] e^{i alpha_a t_k}.
+
+    The one implementation of the ratio statistics w_MN / w_X of the
+    latent-recovery objective, over an (alpha, column) grid. Anchors t and
+    companions c are (s,) arrays, the weights Gnum and Gden (s, J) arrays.
+    Returns ``(w, degenerate)``, both (A, J); w is 0 where ``degenerate``
+    flags |den| < ``EPS_DENOM``. The step-2 labels come from it, and
+    ``_Step2Eval`` is its factored real-block form for w_X.
+    """
+    # keep these layouts: a mekiv fit on bimodal error is chaotic in their summation order
+    phases = np.exp(1j * np.outer(anchors, alphas))  # (s, A)
+    den = phases.T @ gamma_den.astype(complex)  # (A, J)
+    num = (phases * companions[:, None]).T @ gamma_num.astype(complex)
+    degenerate = np.abs(den) < EPS_DENOM
+    w = np.where(degenerate, 0.0 + 0.0j, num / np.where(degenerate, 1.0, den))
+    return w, degenerate
+
+
 def make_training_pairs(
     stage1: Stage1Output,
-    z_check,
     alpha_count: int = 64,
     pair_cap: int | None = 20_000,
     rng: np.random.Generator | None = None,
 ) -> TrainingPairs:
     """Sample alphas, label the (alpha, z) cross product, and cache solves.
 
-    ``z_check`` is raw instrument data (standardized internally with the
-    stage-1 statistics); the eigensystem is that of the stage-1 instrument,
-    extended to ``z_check`` unless it was built from it. Alphas come from the
-    spectral measure of the kernel whose bandwidth is the median heuristic of
-    the (M+N)/2 initialization.
+    The z side of the grid is the standardized second split ``z2s`` of
+    ``stage1.instrument``, and the eigensystem is that instrument's. Alphas
+    come from the spectral measure of the kernel whose bandwidth is the
+    median heuristic of the (M+N)/2 initialization.
     The cross product is uniformly subsampled to ``pair_cap`` pairs when it
-    is larger; pairs whose label denominator is degenerate are dropped with
-    the count recorded.
+    is larger (None: no cap); pairs whose label denominator is degenerate are
+    dropped with the count recorded.
     """
     if alpha_count < 1:
         raise ValueError(f"alpha_count must be >= 1, got {alpha_count}")
+    if pair_cap is not None and pair_cap < 1:
+        raise ValueError(f"pair_cap must be >= 1 or None, got {pair_cap}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    zq = as_points(z_check, stage1.kernel_z.dimension)
-    if len(zq) == 0:
-        raise ValueError("z_check must be nonempty")
-    instrument = stage1.instrument.with_z2(zq)
+    instrument = stage1.instrument
     zqs = instrument.z2s
 
     x_init = 0.5 * (stage1.m + stage1.n)
@@ -459,6 +458,8 @@ def optimize_latents(
     already reproduces the labels) and there is nothing left to fit.
     """
     cfg = config or GdConfig()
+    if cfg.max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {cfg.max_iters}")
     if len(pairs) == 0:
         raise ValueError("no usable training pairs")
     x = 0.5 * (stage1.m + stage1.n)
@@ -556,9 +557,7 @@ def step3(
     The validation predictions are U diag(e/(e + s1*lambda_x)) Q t. Every xi
     costs one r x r solve; no xi needs a factorization of an s1 x s1 matrix.
     """
-    xi_grid = np.asarray(xi_grid, dtype=float).ravel()
-    if xi_grid.size == 0:
-        raise ValueError("xi grid must be nonempty")
+    xi_grid = _xi_values(xi_grid)
     if not lambda_x > 0.0:
         raise ValueError(f"lambda_x must be positive, got {lambda_x}")
     x_hat = np.asarray(x_hat, dtype=float)
@@ -566,8 +565,6 @@ def step3(
         x_hat = x_hat[:, None]
     y1 = np.asarray(y1, dtype=float).ravel()
     y2 = np.asarray(y2, dtype=float).ravel()
-    if instrument.z2s is None:
-        raise ValueError("step 3 needs an instrument built with the second split's 'z'")
     s1, s2 = len(instrument.z1s), len(instrument.z2s)
     if not (len(x_hat) == s1 == len(y1)):
         raise ValueError("x_hat, z1s, y1 must share the stage-1 length")
@@ -637,6 +634,19 @@ class MekivDetails:
     x_hat_raw: np.ndarray  # recovered corrupted coordinate on the raw scale
 
 
+def _xi_values(xi_grid) -> np.ndarray:
+    """``xi_grid`` as a 1-d array, or ``ValueError`` naming a bad value."""
+    xi_grid = np.asarray(xi_grid, dtype=float).ravel()
+    if xi_grid.size == 0:
+        raise ValueError("xi grid must be nonempty")
+    bad = xi_grid[~(np.isfinite(xi_grid) & (xi_grid > 0.0))]
+    if bad.size:
+        raise ValueError(
+            f"stage-2 ridge values must be positive and finite, got xi={float(bad[0])!r}"
+        )
+    return xi_grid
+
+
 def _columns(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     return arr[:, None] if arr.ndim == 1 else arr
@@ -695,23 +705,21 @@ def mekiv_fit(
     them, or one built here. Deterministic under a fixed ``config.seed``.
     """
     cfg = config or MekivConfig()
+    instrument = instrument_for(split1.z, split2.z, instrument)
     m1 = _columns(split1.m)
     n1 = _columns(split1.n)
-    z1 = np.asarray(split1.z, dtype=float)
     y1 = np.asarray(split1.y, dtype=float).ravel()
-    z2 = np.asarray(split2.z, dtype=float)
     y2 = np.asarray(split2.y, dtype=float).ravel()
-    require_rows("first split", z=z1, m=m1, n=n1, y=y1)
-    require_rows("second split", z=z2, y=y2)
-    require_finite("first split", z=z1, m=m1, n=n1, y=y1)
-    require_finite("second split", z=z2, y=y2)
-    require_same_columns("z", z1, z2)
-    instrument = instrument_for(z1, z2, instrument)
+    require_rows("first split", z=instrument.z1, m=m1, n=n1, y=y1)
+    require_rows("second split", z=instrument.z2, y=y2)
+    require_finite("first split", m=m1, n=n1, y=y1)
+    require_finite("second split", y=y2)
+    xi_grid = _xi_values(cfg.xi_grid if cfg.xi_grid is not None else DEFAULT_XI_GRID)
     cd = int(getattr(split1, "corrupted_dim", 0))
 
-    stage1 = step1(z1, m1[:, cd], n1[:, cd], cfg.lambda_grid, instrument)
+    stage1 = step1(instrument, m1[:, cd], n1[:, cd], cfg.lambda_grid)
     rng = np.random.default_rng([cfg.seed, 101])
-    pairs = make_training_pairs(stage1, z2, cfg.alpha_count, cfg.pair_cap, rng)
+    pairs = make_training_pairs(stage1, cfg.alpha_count, cfg.pair_cap, rng)
     recovery = optimize_latents(stage1, pairs, cfg.gd)
 
     # Reassemble the full treatment: recovered coordinate plus the clean
@@ -732,7 +740,6 @@ def mekiv_fit(
         anchors[:, d] = col_scaler.transform(m1[:, d])
     x_scaler = Standardizer(mean=mean, scale=scale)
 
-    xi_grid = cfg.xi_grid if cfg.xi_grid is not None else DEFAULT_XI_GRID
     kernel_x = KernelSpec(median_heuristic(anchors))
     fn = step3(anchors, recovery.lambda_x, instrument, y1, y2, xi_grid, kernel_x, x_scaler)
     if details:

@@ -62,19 +62,6 @@ def as_points(a, dim: int) -> np.ndarray:
     return pts
 
 
-def rbf_eval(x, y, spec: KernelSpec) -> float:
-    """Evaluate k(x, y) for two single points. Symmetric, k(x, x) = 1."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if xv.shape != (spec.dimension,) or yv.shape != (spec.dimension,):
-        raise ValueError(
-            f"point dimension mismatch: kernel is {spec.dimension}-d, "
-            f"got shapes {np.shape(x)} and {np.shape(y)}"
-        )
-    t = (xv - yv) / spec.lengthscales
-    return float(np.exp(-0.5 * np.dot(t, t)))
-
-
 def gram(a, b, spec: KernelSpec) -> np.ndarray:
     """Kernel matrix with entry (j, l) = k(a_j, b_l), shape (|a|, |b|)."""
     pa = as_points(a, spec.dimension) / spec.lengthscales

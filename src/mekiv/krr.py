@@ -96,16 +96,9 @@ class CmeSolver:
         kzq = gram(self.train_z, zq, self.kernel_z)
         return chol_solve(self.chol, kzq)
 
-    def gamma(self, z) -> np.ndarray:
-        """Gamma weights for a single query, shape (s,)."""
-        g = self.gamma_matrix(as_points(z, self.kernel_z.dimension))
-        if g.shape[1] != 1:
-            raise ValueError("gamma expects a single query point")
-        return g[:, 0]
-
 
 def fit(z, kernel_z: KernelSpec, lam: float) -> CmeSolver:
-    """Factorize (K_ZZ + s*lam*I) once; each gamma() costs a triangular solve."""
+    """Factorize (K_ZZ + s*lam*I) once; each query costs a triangular solve."""
     zp = as_points(z, kernel_z.dimension)
     if len(zp) < 1:
         raise ValueError("need at least one training point")

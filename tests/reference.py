@@ -1,20 +1,20 @@
-"""Empirical characteristic functions of conditional laws and their derivatives.
+"""Reference code that the tests compare the package against.
 
-Weighted anchor samples (gamma weights from kernel ridge regression, 1-d
-anchors) define an empirical characteristic function
+None of it runs in a fit. Weighted anchor samples (gamma weights from kernel
+ridge regression, 1-d anchors) define an empirical characteristic function
 
     psi(alpha) = sum_j gamma_j exp(i alpha a_j)
 
 together with its alpha-derivative and, for joint (m, n) anchor pairs, the
-partial derivative in the auxiliary frequency at zero. ``ratio_grid`` is the
-one implementation of the ratio statistics w_MN / w_X of the latent-sample
-recovery objective, over an (alpha, column) grid: the step-2 labels come from
-it and ``w_mn`` / ``w_x`` are its scalar views. ``estimator._Step2Eval`` is
-its factored real-block fast path for w_X, pinned to ``w_x`` by a test. The
-two squared distances at the bottom realize both sides of the
-CME <-> characteristic-function duality: the Monte-Carlo L2(q) distance
-between empirical cfs and the closed-form RKHS distance between the
-corresponding embeddings.
+partial derivative in the auxiliary frequency at zero (``EmpiricalCF``).
+``w_mn`` and ``w_x`` are scalar views of ``estimator.ratio_grid``, the ratio
+statistics that the fit's step-2 labels come from, so the tests of these
+views test the code a fit runs. The two squared distances realize both sides
+of the CME <-> characteristic-function duality: the Monte-Carlo L2(q)
+distance between empirical cfs and the closed-form RKHS distance between the
+corresponding embeddings. ``rbf_eval`` is the kernel at one pair of points,
+``gamma`` the stage-1 weights of one query and ``moment_checks`` the
+exogeneity diagnostics of a generated dataset.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, gram
-
-# Below this denominator modulus a ratio is treated as degenerate.
-EPS_DENOM = 1e-8
+from mekiv.datagen import Dataset, structural_truth
+from mekiv.estimator import ratio_grid
+from mekiv.kernels import KernelSpec, as_points, gram
+from mekiv.krr import CmeSolver
 
 
 class DegenerateRatioError(ValueError):
@@ -79,22 +79,6 @@ class EmpiricalCF:
     __call__ = ecf
 
 
-def ratio_grid(alphas, anchors, companions, gamma_num, gamma_den):
-    """w[a, j] = sum_k c_k Gnum[k, j] e^{i alpha_a t_k} / sum_k Gden[k, j] e^{i alpha_a t_k}.
-
-    Anchors t and companions c are (s,) arrays, the weights Gnum and Gden
-    (s, J) arrays. Returns ``(w, degenerate)``, both (A, J); w is 0 where
-    ``degenerate`` flags |den| < ``EPS_DENOM``.
-    """
-    # keep these layouts: a mekiv fit on bimodal error is chaotic in their summation order
-    phases = np.exp(1j * np.outer(anchors, alphas))  # (s, A)
-    den = phases.T @ gamma_den.astype(complex)  # (A, J)
-    num = (phases * companions[:, None]).T @ gamma_num.astype(complex)
-    degenerate = np.abs(den) < EPS_DENOM
-    w = np.where(degenerate, 0.0 + 0.0j, num / np.where(degenerate, 1.0, den))
-    return w, degenerate
-
-
 def w_mn(m, n, gamma_mn, gamma_n, alpha: float) -> complex:
     """Ratio sum_j m_j g^MN_j e^{i a n_j} / sum_j g^N_j e^{i a n_j}.
 
@@ -143,3 +127,55 @@ def rkhs_distance_sq(w1, a1, w2, a2, kernel: KernelSpec) -> float:
     k12 = gram(a1, a2, kernel)
     k22 = gram(a2, a2, kernel)
     return float(w1 @ k11 @ w1 - 2.0 * (w1 @ k12 @ w2) + w2 @ k22 @ w2)
+
+
+def rbf_eval(x, y, spec: KernelSpec) -> float:
+    """Evaluate k(x, y) for two single points. Symmetric, k(x, x) = 1."""
+    xv = np.asarray(x, dtype=float).reshape(-1)
+    yv = np.asarray(y, dtype=float).reshape(-1)
+    if xv.shape != (spec.dimension,) or yv.shape != (spec.dimension,):
+        raise ValueError(
+            f"point dimension mismatch: kernel is {spec.dimension}-d, "
+            f"got shapes {np.shape(x)} and {np.shape(y)}"
+        )
+    t = (xv - yv) / spec.lengthscales
+    return float(np.exp(-0.5 * np.dot(t, t)))
+
+
+def gamma(solver: CmeSolver, z) -> np.ndarray:
+    """Gamma weights of ``solver`` for a single query, shape (s,)."""
+    g = solver.gamma_matrix(as_points(z, solver.kernel_z.dimension))
+    if g.shape[1] != 1:
+        raise ValueError("gamma expects a single query point")
+    return g[:, 0]
+
+
+def moment_checks(ds: Dataset) -> dict:
+    """Exogeneity diagnostics: measurement-error and instrument moment checks.
+
+    Returns absolute sample correlations |corr(dM, dN)|, |corr(dN, x)|,
+    |corr(eps, dN)| and the largest |mean(eps)| over instrument quantile
+    bins.
+    """
+    cd = ds.corrupted_dim
+    x = ds.x[:, cd]
+    dm = ds.m[:, cd] - x
+    dn = ds.n[:, cd] - x
+    eps = ds.y - structural_truth(ds.spec.design, ds.x)
+
+    def abscorr(a, b):
+        if np.std(a) == 0.0 or np.std(b) == 0.0:
+            return 0.0
+        return float(abs(np.corrcoef(a, b)[0, 1]))
+
+    zc = ds.z[:, 0]
+    n_bins = 10
+    edges = np.quantile(zc, np.linspace(0.0, 1.0, n_bins + 1))
+    idx = np.clip(np.searchsorted(edges, zc, side="right") - 1, 0, n_bins - 1)
+    bin_means = [abs(float(np.mean(eps[idx == b]))) for b in range(n_bins) if np.any(idx == b)]
+    return {
+        "corr_dm_dn": abscorr(dm, dn),
+        "corr_dn_x": abscorr(dn, x),
+        "corr_eps_dn": abscorr(eps, dn),
+        "max_binned_eps_mean": max(bin_means),
+    }

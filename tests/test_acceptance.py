@@ -12,13 +12,12 @@ import pytest
 
 from mekiv import krr
 from mekiv.baselines import kiv_fit
-from mekiv.charfun import EmpiricalCF, l2q_distance_sq, rkhs_distance_sq, w_mn, w_x
-from mekiv.datagen import DesignSpec, generate, generate_splits, moment_checks
+from mekiv.datagen import DesignSpec, generate, generate_splits
 from mekiv.estimator import (
+    Instrument,
     MekivConfig,
     TrainingPairs,
     instrument_eigensystem,
-    make_training_pairs,
     mekiv_fit,
     step1,
     step2_grad,
@@ -26,6 +25,9 @@ from mekiv.estimator import (
 )
 from mekiv.harness import ExperimentConfig, mse_out_of_sample, run_experiment
 from mekiv.kernels import KernelSpec, SpectralSampler, median_heuristic
+
+from reference import EmpiricalCF, l2q_distance_sq, moment_checks, rkhs_distance_sq, w_mn, w_x
+from reference import gamma as gamma_weights  # C3 names its weights `gamma`
 
 
 def _check(name, ok, detail):
@@ -42,7 +44,8 @@ def kotlarski_stage1():
     x = z + rng.standard_normal(s1)
     m = x + 0.5 * rng.standard_normal(s1)
     n = x + 0.5 * rng.standard_normal(s1)
-    return z, x, m, n, step1(z, m, n)
+    # step 1 reads only the first split's z; the second is C9's query grid
+    return z, x, m, n, step1(Instrument(z, np.linspace(-3.0, 3.0, 10)), m, n)
 
 
 def test_c1_kotlarski_identity_recovery(kotlarski_stage1):
@@ -50,7 +53,7 @@ def test_c1_kotlarski_identity_recovery(kotlarski_stage1):
     z, x, m, n, stage1 = kotlarski_stage1
     ell = median_heuristic(0.5 * (stage1.m + stage1.n))[0]
     z_checks = np.linspace(-3.0, 3.0, 5)
-    zq_std = stage1.z_scaler.transform(z_checks[:, None])
+    zq_std = stage1.instrument.z_scaler.transform(z_checks[:, None])
     gamma_n = stage1.solver_n.gamma_matrix(zq_std)
     gamma_mn = stage1.solver_mn.gamma_matrix(zq_std)
     mean, scale = stage1.x_scaler.mean[0], stage1.x_scaler.scale[0]
@@ -102,7 +105,7 @@ def test_c3_differentiation_trick_consistency():
     ell = kernel_x.lengthscales[0]
     worst = 0.0
     for zq in (-1.0, 0.0, 1.0):
-        gamma = solver.gamma([zq])
+        gamma = gamma_weights(solver, [zq])
         cf = EmpiricalCF(gamma, x)
         for alpha in np.linspace(-2.0 / ell, 2.0 / ell, 9):
             if alpha == 0.0:
@@ -282,7 +285,7 @@ def test_c9_cf_normalization_at_zero(kotlarski_stage1):
     z, x, m, n, stage1 = kotlarski_stage1
     z_checks = np.linspace(-3.0, 3.0, 10)
     gammas = stage1.solver_n.gamma_matrix(
-        stage1.z_scaler.transform(z_checks[:, None])
+        stage1.instrument.z_scaler.transform(z_checks[:, None])
     )
     worst = float(np.abs(gammas.sum(axis=0) - 1.0).max())
     elapsed = time.perf_counter() - start

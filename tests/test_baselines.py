@@ -150,6 +150,17 @@ def test_another_instrument_width_rejected_at_entry():
             kiv_fit(kind, s1d, s2d)
 
 
+@pytest.mark.parametrize(
+    "bad, shown", [([-1.0], "-1.0"), ([np.nan], "nan")], ids=["negative", "nan"]
+)
+def test_bad_xi_grid_rejected(bad, shown):
+    # at -1 the fit used to return xi = -1.0; at nan, max() of an empty sequence
+    spec = DesignSpec(design="linear", sample_size=400, seed=8)
+    s1d, s2d = generate_splits(spec, 200, 200)
+    with pytest.raises(ValueError, match=f"must be positive and finite, got xi={shown}"):
+        kiv_fit("m-as-x", s1d, s2d, xi_grid=bad)
+
+
 def test_kiv_fit_decomposes_its_instrument_once(gram_eigh_sizes):
     spec = DesignSpec(design="demand", rho=0.5, merror_level=0.5, sample_size=240, seed=4)
     s1d, s2d = generate_splits(spec, 120, 100)

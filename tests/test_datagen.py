@@ -12,11 +12,12 @@ from mekiv.datagen import (
     generate_splits,
     linear_truth,
     load_dataset,
-    moment_checks,
     save_dataset,
     sigmoid_truth,
     structural_truth,
 )
+
+from reference import moment_checks
 
 
 def test_design_spec_validation():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mekiv import estimator, krr
-from mekiv.datagen import DesignSpec, generate_splits
+from mekiv.baselines import kiv_fit
+from mekiv.datagen import DesignSpec, generate, generate_splits, load_dataset, save_dataset
 from mekiv.estimator import (
     DEFAULT_XI_GRID,
     XI_SCORE_REL_TOL,
@@ -27,14 +28,15 @@ from mekiv.kernels import KernelSpec, Standardizer, gram, median_heuristic
 from mekiv.krr import NumericalError
 
 
-def _kotlarski_stage1(seed=0, s1=400, noise=0.5):
-    # X | z ~ N(z, 1) with corrupted copies; returns raw arrays and stage 1.
+def _kotlarski_stage1(seed=0, s1=400, noise=0.5, z_check=np.linspace(-1, 1, 5)):
+    # X | z ~ N(z, 1) with corrupted copies; returns raw arrays and stage 1 on
+    # the instrument of (z, z_check), whose second split the pairs label.
     rng = np.random.default_rng(seed)
     z = rng.uniform(-2.0, 2.0, size=s1)
     x = z + rng.standard_normal(s1)
     m = x + noise * rng.standard_normal(s1)
     n = x + noise * rng.standard_normal(s1)
-    return z, x, m, n, step1(z, m, n)
+    return z, x, m, n, step1(Instrument(z, z_check), m, n)
 
 
 def _manual_pairs(alphas, z_grid, labels, weight, z1, kernel_z):
@@ -59,10 +61,14 @@ def _manual_pairs(alphas, z_grid, labels, weight, z1, kernel_z):
 
 def test_step1_preconditions():
     rng = np.random.default_rng(0)
+    z = rng.normal(size=5)
+    instrument = Instrument(z, z)
     with pytest.raises(ValueError):
-        step1(rng.normal(size=5), rng.normal(size=5), rng.normal(size=5))
+        step1(instrument, rng.normal(size=5), rng.normal(size=5))
+    z = rng.normal(size=30)
+    instrument = Instrument(z, z)
     with pytest.raises(ValueError):
-        step1(rng.normal(size=30), rng.normal(size=30), rng.normal(size=29))
+        step1(instrument, rng.normal(size=30), rng.normal(size=29))
 
 
 def test_step1_fits_shared_instrument_sample():
@@ -89,22 +95,31 @@ def test_step1_pooled_standardization_preserves_error_structure():
 
 
 def test_make_training_pairs_counts_and_cap():
-    z, x, m, n, stage1 = _kotlarski_stage1(seed=3, s1=40)
-    z_check = np.linspace(-1, 1, 4)
-    pairs = make_training_pairs(stage1, z_check, alpha_count=3, pair_cap=None,
+    z, x, m, n, stage1 = _kotlarski_stage1(seed=3, s1=40, z_check=np.linspace(-1, 1, 4))
+    pairs = make_training_pairs(stage1, alpha_count=3, pair_cap=None,
                                 rng=np.random.default_rng(0))
     assert len(pairs) == 12
     assert pairs.labels.shape == (3, 4)
-    capped = make_training_pairs(stage1, z_check, alpha_count=3, pair_cap=5,
+    capped = make_training_pairs(stage1, alpha_count=3, pair_cap=5,
                                  rng=np.random.default_rng(0))
     assert len(capped) == 5
 
 
+def test_optimizer_budget_is_validated():
+    # a cap below one pair or a negative proposal budget is a caller error
+    _, _, _, _, stage1 = _kotlarski_stage1(seed=3, s1=40, z_check=np.linspace(-1, 1, 4))
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match=f"pair_cap must be >= 1 or None, got {cap}"):
+            make_training_pairs(stage1, alpha_count=3, pair_cap=cap)
+    pairs = make_training_pairs(stage1, alpha_count=3, pair_cap=None)
+    with pytest.raises(ValueError, match="max_iters must be >= 0, got -1"):
+        optimize_latents(stage1, pairs, GdConfig(max_iters=-1))
+
+
 def test_make_training_pairs_deterministic_under_seed():
-    _, _, _, _, stage1 = _kotlarski_stage1(seed=4, s1=40)
-    z_check = np.linspace(-1, 1, 6)
-    a = make_training_pairs(stage1, z_check, 4, 10, np.random.default_rng(5))
-    b = make_training_pairs(stage1, z_check, 4, 10, np.random.default_rng(5))
+    _, _, _, _, stage1 = _kotlarski_stage1(seed=4, s1=40, z_check=np.linspace(-1, 1, 6))
+    a = make_training_pairs(stage1, 4, 10, np.random.default_rng(5))
+    b = make_training_pairs(stage1, 4, 10, np.random.default_rng(5))
     assert np.array_equal(a.alphas, b.alphas)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.weight, b.weight)
@@ -114,9 +129,9 @@ def test_labels_match_kotlarski_identity_at_scale():
     # with large stage 1 and validated embeddings, w_MN(alpha, z) tracks the
     # analytic mu_z + i sigma^2 alpha of the standardized latent law for
     # alphas inside the spectral band of the initialization kernel
-    z, x, m, n, stage1 = _kotlarski_stage1(seed=5, s1=2000, noise=0.5)
     z_check = np.array([-1.0, 0.0, 1.0])
-    pairs = make_training_pairs(stage1, z_check, alpha_count=12, pair_cap=None,
+    z, x, m, n, stage1 = _kotlarski_stage1(seed=5, s1=2000, noise=0.5, z_check=z_check)
+    pairs = make_training_pairs(stage1, alpha_count=12, pair_cap=None,
                                 rng=np.random.default_rng(6))
     band = 1.0 / median_heuristic(0.5 * (stage1.m + stage1.n))[0]
     scale = stage1.x_scaler.scale[0]
@@ -135,9 +150,8 @@ def test_labels_match_kotlarski_identity_at_scale():
 
 
 def test_step2_loss_zero_on_self_labels_and_nonnegative():
-    z, x, m, n, stage1 = _kotlarski_stage1(seed=7, s1=50)
-    z_check = np.linspace(-1, 1, 5)
-    pairs = make_training_pairs(stage1, z_check, 6, None, np.random.default_rng(8))
+    z, x, m, n, stage1 = _kotlarski_stage1(seed=7, s1=50, z_check=np.linspace(-1, 1, 5))
+    pairs = make_training_pairs(stage1, 6, None, np.random.default_rng(8))
     x0 = 0.5 * (stage1.m + stage1.n)
     ll0 = float(np.log(stage1.lambda_n))
     from mekiv.estimator import _Step2Eval
@@ -158,9 +172,9 @@ def test_step2_loss_prefers_true_latents_without_measurement_error():
     s1 = 200
     z = rng.uniform(-2, 2, size=s1)
     x = z + rng.standard_normal(s1)
-    stage1 = step1(z, x, x)  # zero measurement error: m = n = x
-    pairs = make_training_pairs(stage1, np.linspace(-1.5, 1.5, 40), 16, None,
-                                np.random.default_rng(11))
+    # zero measurement error: m = n = x
+    stage1 = step1(Instrument(z, np.linspace(-1.5, 1.5, 40)), x, x)
+    pairs = make_training_pairs(stage1, 16, None, np.random.default_rng(11))
     ll = float(np.log(stage1.lambda_n))
     loss_true = step2_loss(stage1.m, ll, pairs)
     loss_noisy = step2_loss(stage1.m + 0.5 * rng.standard_normal(s1), ll, pairs)
@@ -217,8 +231,8 @@ def _complex_step2_reference(x, log_lambda, pairs):
 
 
 def test_step2_real_block_layout_matches_complex_math():
-    from mekiv.charfun import w_x
     from mekiv.estimator import _Step2Eval
+    from reference import w_x
 
     for seed in range(5):
         rng = np.random.default_rng(400 + seed)
@@ -248,9 +262,9 @@ def test_step2_real_block_layout_matches_complex_math():
 def test_step2_on_rank_truncated_eigensystem_matches_full_eigh():
     # a 1-d instrument gives a Gaussian K_ZZ of low numerical rank; the
     # dropped eigenpairs are rounding noise and must not move the objective
-    z, x, m, n, stage1 = _kotlarski_stage1(seed=30, s1=200, noise=1.0)
-    pairs = make_training_pairs(stage1, np.linspace(-1.5, 1.5, 20), 8, None,
-                                np.random.default_rng(31))
+    z, x, m, n, stage1 = _kotlarski_stage1(seed=30, s1=200, noise=1.0,
+                                           z_check=np.linspace(-1.5, 1.5, 20))
+    pairs = make_training_pairs(stage1, 8, None, np.random.default_rng(31))
     s1 = pairs.n_latents
     assert pairs.eigvals.size < s1 // 4
     assert pairs.eig_u.shape == (s1, pairs.eigvals.size)
@@ -277,8 +291,8 @@ def test_training_pairs_full_rank_eigensystem_is_plain_eigh():
     spec = DesignSpec(design="demand", rho=0.5, merror_level=1.0, sample_size=1, seed=33)
     s1d, s2d = generate_splits(spec, 150, 150)
     cd = s1d.corrupted_dim
-    stage1 = step1(s1d.z, s1d.m[:, cd], s1d.n[:, cd])
-    pairs = make_training_pairs(stage1, s2d.z, 4, 200, np.random.default_rng(34))
+    stage1 = step1(Instrument(s1d.z, s2d.z), s1d.m[:, cd], s1d.n[:, cd])
+    pairs = make_training_pairs(stage1, 4, 200, np.random.default_rng(34))
     eigvals, eig_u = np.linalg.eigh(gram(stage1.z, stage1.z, stage1.kernel_z))
     b_matrix = eig_u.T @ gram(stage1.z, pairs.z_grid, stage1.kernel_z)
     assert pairs.eig_u.shape == (150, 150)
@@ -303,9 +317,8 @@ def test_step2_grad_antisymmetric_under_sign_flip():
 
 
 def test_optimize_latents_zero_iterations_returns_initialization():
-    z, x, m, n, stage1 = _kotlarski_stage1(seed=14, s1=50)
-    pairs = make_training_pairs(stage1, np.linspace(-1, 1, 5), 4, None,
-                                np.random.default_rng(15))
+    z, x, m, n, stage1 = _kotlarski_stage1(seed=14, s1=50, z_check=np.linspace(-1, 1, 5))
+    pairs = make_training_pairs(stage1, 4, None, np.random.default_rng(15))
     rec = optimize_latents(stage1, pairs, GdConfig(max_iters=0))
     assert np.array_equal(rec.x_hat, 0.5 * (stage1.m + stage1.n))
     assert rec.lambda_x == pytest.approx(stage1.lambda_n)
@@ -313,9 +326,9 @@ def test_optimize_latents_zero_iterations_returns_initialization():
 
 
 def test_optimize_latents_trace_non_increasing():
-    z, x, m, n, stage1 = _kotlarski_stage1(seed=16, s1=80, noise=1.0)
-    pairs = make_training_pairs(stage1, np.linspace(-1.5, 1.5, 30), 8, None,
-                                np.random.default_rng(17))
+    z, x, m, n, stage1 = _kotlarski_stage1(seed=16, s1=80, noise=1.0,
+                                           z_check=np.linspace(-1.5, 1.5, 30))
+    pairs = make_training_pairs(stage1, 8, None, np.random.default_rng(17))
     rec = optimize_latents(stage1, pairs, GdConfig(max_iters=150))
     assert np.all(np.diff(rec.loss_trace) <= 0.0)
     assert rec.lambda_x > 0.0
@@ -330,9 +343,8 @@ def test_optimize_latents_zero_error_keeps_initialization_close():
         s1 = 200
         z = rng.uniform(-2, 2, size=s1)
         x = z + rng.standard_normal(s1)
-        stage1 = step1(z, x, x)
-        pairs = make_training_pairs(stage1, rng.uniform(-2, 2, size=50), 16, None,
-                                    np.random.default_rng(300 + seed))
+        stage1 = step1(Instrument(z, rng.uniform(-2, 2, size=50)), x, x)
+        pairs = make_training_pairs(stage1, 16, None, np.random.default_rng(300 + seed))
         rec = optimize_latents(stage1, pairs, GdConfig(max_iters=300))
         drift = stage1.x_scaler.inverse(rec.x_hat) - x
         assert np.sqrt(np.mean(drift**2)) < 1e-2
@@ -343,17 +355,16 @@ def test_optimize_latents_makes_no_proposal_at_the_rounding_floor():
     # to rounding, so there is nothing for gradient descent to fit
     spec = DesignSpec(design="linear", merror_level=0.0, sample_size=1, seed=3)
     s1d, s2d = generate_splits(spec, 200, 200)
-    stage1 = step1(s1d.z, s1d.m[:, 0], s1d.n[:, 0])
-    pairs = make_training_pairs(stage1, s2d.z, 16, 2000, np.random.default_rng(36))
+    stage1 = step1(Instrument(s1d.z, s2d.z), s1d.m[:, 0], s1d.n[:, 0])
+    pairs = make_training_pairs(stage1, 16, 2000, np.random.default_rng(36))
     rec = optimize_latents(stage1, pairs)
     assert len(rec.loss_trace) == 1
     assert np.array_equal(rec.x_hat, 0.5 * (stage1.m + stage1.n))
 
 
 def test_optimize_latents_rejects_non_finite_start():
-    z, x, m, n, stage1 = _kotlarski_stage1(seed=18, s1=50)
-    pairs = make_training_pairs(stage1, np.linspace(-1, 1, 5), 4, None,
-                                np.random.default_rng(19))
+    z, x, m, n, stage1 = _kotlarski_stage1(seed=18, s1=50, z_check=np.linspace(-1, 1, 5))
+    pairs = make_training_pairs(stage1, 4, None, np.random.default_rng(19))
     pairs.labels[:] = np.nan
     with pytest.raises(NumericalError):
         optimize_latents(stage1, pairs, GdConfig(max_iters=5))
@@ -440,21 +451,20 @@ def _jittered_step3_reference(x_hat, lambda_x, z1s, y1, z2s, y2, xi_grid, kernel
 
 
 def _linear_step3_inputs(seed=26, n=300):
-    # the instrument is built from split 1 alone: ``with_z2`` adds split 2
+    # the arguments of step 3 but its x_scaler, which is returned beside them
     spec = DesignSpec(design="linear", merror_level=1.0, sample_size=2 * n, seed=seed)
     s1d, s2d = generate_splits(spec, n, n)
-    instrument = Instrument(s1d.z)
+    instrument = Instrument(s1d.z, s2d.z)
     x_scaler = Standardizer.fit(s1d.m)
     x1s = x_scaler.transform(s1d.m)
     kernel_x = KernelSpec(median_heuristic(x1s))
     lam = krr.validate_lambda(instrument.holdout, x1s, kernel_x, krr.default_lambda_grid(n))
-    return (x1s, lam, instrument, s1d.y, s2d.z, s2d.y, DEFAULT_XI_GRID, kernel_x), x_scaler
+    return (x1s, lam, instrument, s1d.y, s2d.y, DEFAULT_XI_GRID, kernel_x), x_scaler
 
 
 def test_step3_matches_the_jittered_cholesky_reference():
     args, x_scaler = _linear_step3_inputs()
-    x1s, lam, instrument, y1, z2, y2, xi_grid, kernel_x = args
-    instrument = instrument.with_z2(z2)
+    x1s, lam, instrument, y1, y2, xi_grid, kernel_x = args
     fn = step3(x1s, lam, instrument, y1, y2, xi_grid, kernel_x, x_scaler)
     xi, beta, kernel_x, y_scaler = _jittered_step3_reference(
         x1s, lam, instrument.z1s, y1, instrument.z2s, y2, xi_grid, instrument.kernel_z
@@ -467,12 +477,13 @@ def test_step3_matches_the_jittered_cholesky_reference():
 
 
 @pytest.mark.parametrize("grid_size", [3, 10])
-def test_step3_makes_one_eigendecomposition_and_no_cholesky(decompositions, grid_size):
+def test_step3_makes_no_decomposition(decompositions, grid_size):
+    # every xi is an r x r solve on the instrument's K_ZZ eigensystem
     args, x_scaler = _linear_step3_inputs(n=100)
-    x1s, lam, instrument, y1, z2, y2, _, kernel_x = args
-    decompositions.update(cholesky=0, eigh=0)  # validate_lambda ran while building the inputs
-    step3(x1s, lam, instrument.with_z2(z2), y1, y2, np.logspace(-7, 0, grid_size), kernel_x, x_scaler)
-    assert decompositions == {"cholesky": 0, "eigh": 1}
+    x1s, lam, instrument, y1, y2, _, kernel_x = args
+    decompositions.update(cholesky=0, eigh=0)  # the instrument was built with the inputs
+    step3(x1s, lam, instrument, y1, y2, np.logspace(-7, 0, grid_size), kernel_x, x_scaler)
+    assert decompositions == {"cholesky": 0, "eigh": 0}
 
 
 def test_step3_validates_shapes_and_grid():
@@ -486,6 +497,9 @@ def test_step3_validates_shapes_and_grid():
         step3(z, -1.0, instrument, np.zeros(10), np.zeros(10), [0.1], KernelSpec([1.0]), x_scaler)
     with pytest.raises(ValueError):
         step3(z[:5], 1e-3, instrument, np.zeros(10), np.zeros(10), [0.1], KernelSpec([1.0]), x_scaler)
+    for bad, shown in (([-1.0], "-1.0"), ([0.1, np.nan], "nan"), ([np.inf], "inf"), ([0.0], "0.0")):
+        with pytest.raises(ValueError, match=f"must be positive and finite, got xi={shown}"):
+            step3(z, 1e-3, instrument, np.zeros(10), np.zeros(10), bad, KernelSpec([1.0]), x_scaler)
 
 
 def test_predict_one_hot_beta_reads_kernel_row():
@@ -554,6 +568,36 @@ def test_mekiv_fit_rejects_another_instrument_width_at_entry(monkeypatch):
         mekiv_fit(s1d, s2d)
 
 
+def test_mekiv_fit_rejects_a_bad_xi_grid_at_entry(monkeypatch):
+    spec = DesignSpec(design="linear", sample_size=200, seed=5)
+    s1d, s2d = generate_splits(spec, 100, 100)
+
+    def no_step1(*args, **kwargs):
+        raise AssertionError("step 1 ran before the xi check")
+
+    monkeypatch.setattr(estimator, "step1", no_step1)
+    with pytest.raises(ValueError, match="got xi=-1.0"):
+        mekiv_fit(s1d, s2d, MekivConfig(xi_grid=[-1.0]))
+
+
+def test_a_z_with_no_columns_is_rejected_at_entry(tmp_path):
+    # a CSV whose header has no z_* column loads with an (n, 0) instrument
+    csv_path = tmp_path / "linear.csv"
+    save_dataset(generate(DesignSpec(design="linear", sample_size=80, seed=27)), csv_path)
+    lines = csv_path.read_text().splitlines()
+    assert lines[0].startswith("z_0,")
+    csv_path.write_text("".join(line.split(",", 1)[1] + "\n" for line in lines))
+    s1d, s2d = load_dataset(csv_path).split(40)
+    assert s1d.z.shape == (40, 0)
+    message = "column 'z' of the first split has 0 columns"
+    with pytest.raises(ValueError, match=message):
+        mekiv_fit(s1d, s2d)
+    with pytest.raises(ValueError, match=message):
+        kiv_fit("m-as-x", s1d, s2d)
+    with pytest.raises(ValueError, match="column 'z' of the second split has 0 columns"):
+        Instrument(np.linspace(0.0, 1.0, 40), s2d.z)
+
+
 def test_mekiv_fit_deterministic_under_seed():
     spec = DesignSpec(design="linear", merror_level=0.5, sample_size=240, seed=24)
     s1d, s2d = generate_splits(spec, 120, 120)
@@ -599,5 +643,3 @@ def test_mekiv_fit_on_a_shared_instrument_is_bitwise_its_own_and_rejects_another
         mekiv_fit(s1d, s2d, cfg, instrument=Instrument(other[0].z, s2d.z))
     with pytest.raises(ValueError, match="instrument was not built from the second split's 'z'"):
         mekiv_fit(s1d, s2d, cfg, instrument=Instrument(s1d.z, other[1].z))
-    with pytest.raises(ValueError, match="instrument was not built from the second split's 'z'"):
-        mekiv_fit(s1d, s2d, cfg, instrument=Instrument(s1d.z))

@@ -7,8 +7,9 @@ from mekiv.kernels import (
     Standardizer,
     gram,
     median_heuristic,
-    rbf_eval,
 )
+
+from reference import rbf_eval
 
 
 def test_kernel_spec_rejects_bad_lengthscales():
